@@ -68,8 +68,7 @@ func main() {
 		nw       = flag.Int("nw", 5000, "demo preferences")
 		d        = flag.Int("d", 6, "demo dimensionality")
 		seed     = flag.Int64("seed", 1, "demo seed")
-		packed   = flag.Int("packed-bits", 0, "demo index layout: bit-packed cell rows at 4-8 bits per dimension (0 = float64)")
-		par      = flag.Int("parallel", 0, "default intra-query workers per query (0 or 1 = sequential)")
+		par      = flag.Int("parallel", 0, "default intra-query workers per query (0 or 1 = one goroutine)")
 		maxP     = flag.Int("max-parallel", 0, "cap on the per-request parallelism field (0 = GOMAXPROCS)")
 		qTimeout = flag.Duration("query-timeout", 0, "default per-query deadline, e.g. 2s (0 = none; requests may override with timeoutMs)")
 		maxBatch = flag.Int("max-batch", 0, "max queries per /v1/batch request (0 = default)")
@@ -104,7 +103,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "rrqserver:", err)
 		os.Exit(1)
 	}
-	ix, err := buildIndex(*index, *mmap, *demo, *dist, *np, *nw, *d, *seed, *packed)
+	ix, err := buildIndex(*index, *mmap, *demo, *dist, *np, *nw, *d, *seed)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rrqserver:", err)
 		os.Exit(1)
@@ -118,7 +117,7 @@ func main() {
 		"preferences", ix.NumPreferences(),
 		"dim", ix.Dim(),
 		"gridPartitions", ix.GridPartitions(),
-		"packed", ix.Layout().Packed,
+		"packedBits", ix.Layout().BitsPerDim,
 		"format", ix.Format(),
 		"resident", ix.Resident(),
 		"addr", *addr,
@@ -218,14 +217,11 @@ func buildLogger(format string) (*slog.Logger, error) {
 	}
 }
 
-func buildIndex(path string, mmap, demo bool, dist string, np, nw, d int, seed int64, packedBits int) (*gridrank.Index, error) {
+func buildIndex(path string, mmap, demo bool, dist string, np, nw, d int, seed int64) (*gridrank.Index, error) {
 	switch {
 	case path != "" && demo:
 		return nil, fmt.Errorf("-index and -demo are mutually exclusive")
 	case path != "":
-		if packedBits != 0 {
-			return nil, fmt.Errorf("-packed-bits applies only to -demo; a loaded index keeps its saved layout")
-		}
 		if mmap {
 			return gridrank.LoadMmap(path)
 		}
@@ -245,7 +241,7 @@ func buildIndex(path string, mmap, demo bool, dist string, np, nw, d int, seed i
 		if err != nil {
 			return nil, err
 		}
-		return gridrank.New(P, W, &gridrank.Options{PackedBits: packedBits})
+		return gridrank.New(P, W, nil)
 	default:
 		return nil, fmt.Errorf("one of -index or -demo is required")
 	}

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc64"
+	"os"
 	"testing"
 )
 
@@ -89,31 +90,42 @@ func FuzzReadIndex(f *testing.F) {
 	b[gri3Align-1] = 0xAA // padding byte before the first section
 	f.Add(b)
 	f.Add(valid.Bytes()[:valid.Len()-7])
-	// A packed index stream plus blind flips landing in its later
-	// sections (the offsets, relative to the unpacked stream's length,
-	// fall inside the packed stream's payload region): rejection must
-	// come from a section CRC or the padding rule.
-	pix, err := New(P, W, &Options{GridPartitions: 8, PackedBits: 4})
+	// A wider grid (64 partitions, packed width 6) plus blind flips
+	// landing in its packed-rows section: rejection must come from a
+	// section CRC or the padding rule.
+	wix, err := New(P, W, &Options{GridPartitions: 64})
 	if err != nil {
 		f.Fatal(err)
 	}
-	var packed bytes.Buffer
-	if _, err := pix.WriteTo(&packed); err != nil {
+	var wide bytes.Buffer
+	if _, err := wix.WriteTo(&wide); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(packed.Bytes())
-	f.Add(packed.Bytes()[:valid.Len()]) // section truncated away
-	f.Add(packed.Bytes()[:packed.Len()-3])
+	wh, err := parseGRI3Header(wide.Bytes()[:gri3HeaderLen])
+	if err != nil {
+		f.Fatal(err)
+	}
+	wsecs, _ := wh.layout()
+	packedOff := int(wsecs[secPackedRows-1].offset)
+	f.Add(wide.Bytes())
+	f.Add(wide.Bytes()[:packedOff]) // section truncated away
+	f.Add(wide.Bytes()[:wide.Len()-3])
 	for _, off := range []int{0, 8, 16, 40} {
-		b := append([]byte(nil), packed.Bytes()...)
-		b[valid.Len()+off] ^= 0x11
+		b := append([]byte(nil), wide.Bytes()...)
+		b[packedOff+off] ^= 0x11
 		f.Add(b)
 	}
-	// Header claims packed over an unpacked image: the canonical layout
-	// then expects one more section than the file holds.
+	// Header claims no packed rows over a packed image: the canonical
+	// layout then expects one section fewer than the table holds.
 	b = append([]byte(nil), valid.Bytes()...)
-	binary.LittleEndian.PutUint32(b[8:], 4)
+	binary.LittleEndian.PutUint32(b[8:], 0)
 	f.Add(b)
+	// A legacy GRI3 file written without packed rows loads by re-packing.
+	legacy, err := os.ReadFile(legacyUnpackedFixture)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(legacy)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := ReadIndex(bytes.NewReader(data))
 		if err != nil {

@@ -17,7 +17,7 @@ package gridrank
 //
 //	 0  magic        uint32  'G''R''I''3'
 //	 4  n            uint32  grid partitions per axis
-//	 8  packedBits   uint32  scan layout: 0 = unpacked, 4..8 = packed width
+//	 8  packedBits   uint32  packed row width (see below)
 //	12  dim          uint32  dimensionality
 //	16  sectionCount uint32  15, or 16 when packedBits > 0
 //	20  reserved     uint32  zero
@@ -30,6 +30,13 @@ package gridrank
 //	                         pays the O(|W|·d) rescan New performs)
 //	72  fileSize     uint64  total file length in bytes
 //	80  headerCRC    uint64  CRC-64/ECMA over bytes [0,80) ++ the table
+//
+// The writer always stores the packed rows at the width the grid size
+// derives (algo.PackedWidth) — every index scans at that width. Files
+// written before the width was derived may carry packedBits = 0 (no
+// packed-rows section) or another width in [4, 8] that still encodes n;
+// both load, their rows re-packed on the heap at the derived width, and
+// re-save byte-identical to a fresh build.
 //
 // Each section-table entry is {id uint32, reserved uint32, offset
 // uint64, length uint64, crc uint64} with CRC-64/ECMA over the payload.
@@ -94,7 +101,7 @@ const (
 	secWGGroupOf              // weight grouping: element→group map
 	secWGSingle               // weight grouping: singleton cache
 	secGridTable              // boundary-product table, (n+1)² float64
-	secPackedRows             // packed point group rows, only when packedBits > 0
+	secPackedRows             // packed point group rows; absent when packedBits is 0
 )
 
 var gri3CRC = crc64.MakeTable(crc64.ECMA)
@@ -430,7 +437,6 @@ func parseGRI3Image(data []byte, full bool) (*epoch, int, error) {
 		gir: algo.NewGIRFromParts(algo.GIRParts{
 			PM: pm, WM: wm, Grid: g,
 			PA: pa, WA: wa, PG: pg, WG: wg,
-			PackedBits: h.packedBits,
 		}),
 	}, h.dim, nil
 }
@@ -518,9 +524,7 @@ func canonicalArtifacts(e *epoch) gri3Artifacts {
 	art.g = g
 	if !art.pg.Canonical() {
 		art.pg = grid.NewGrouped(art.pa)
-		if b := e.gir.PackedBits(); b > 0 {
-			art.pg.Pack(b)
-		}
+		art.pg.Pack(e.gir.PackedBits())
 	}
 	return art
 }
@@ -557,9 +561,7 @@ func writeGRI3(w io.Writer, e *epoch, dim int) (int64, error) {
 		gri3I32Bytes(art.wg.GroupMap()),
 		gri3I32Bytes(art.wg.Single()),
 		gri3F64Bytes(art.g.Table()),
-	}
-	if h.packedBits > 0 {
-		payloads = append(payloads, gri3U64Bytes(art.pg.Packed().Words()))
+		gri3U64Bytes(art.pg.Packed().Words()),
 	}
 	h.sections = len(payloads)
 	secs, fileSize := h.layout()

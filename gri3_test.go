@@ -25,9 +25,18 @@ import (
 // stub falls back to the heap loader).
 func canMmap() bool { return runtime.GOOS == "linux" || runtime.GOOS == "darwin" }
 
-// gri3Index builds a small index at the given packed width, saved and
+// The legacy fixtures are GRI3 files written before the packed width
+// was derived from the grid, both holding gri3Index(t, 16)'s data and
+// grid: one with packedBits = 0 (no packed-rows section), one packed at
+// 6 bits where the 16-partition grid derives 4.
+const (
+	legacyUnpackedFixture = "testdata/legacy_unpacked.gri3"
+	legacyWidth6Fixture   = "testdata/legacy_width6.gri3"
+)
+
+// gri3Index builds a small index over an n-partition grid, saved and
 // reloaded by most tests in this file.
-func gri3Index(t testing.TB, packedBits int) *Index {
+func gri3Index(t testing.TB, n int) *Index {
 	t.Helper()
 	P, err := GenerateProducts(31, Clustered, 300, 4)
 	if err != nil {
@@ -37,7 +46,7 @@ func gri3Index(t testing.TB, packedBits int) *Index {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := New(P, W, &Options{GridPartitions: 16, PackedBits: packedBits})
+	ix, err := New(P, W, &Options{GridPartitions: n})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,17 +54,26 @@ func gri3Index(t testing.TB, packedBits int) *Index {
 }
 
 // TestHeapMmapEquivalence is the extended persistence harness of the
-// acceptance criteria: for every packed width, the heap-loaded and
-// mmap-loaded views of one saved file must answer byte-identically to
-// each other and to the index that wrote the file, at every worker
-// count. It runs under -race in CI (root package race pass).
+// acceptance criteria: for every packed width a file can store, the
+// heap-loaded and mmap-loaded views of the file must answer
+// byte-identically to each other and to a fresh build over the same
+// data, at every worker count. Widths 4 through 8 are the grid sizes 16
+// through 256 that derive them; width 0 is the legacy fixture written
+// without packed rows, which both loaders re-pack at the derived width.
+// It runs under -race in CI (root package race pass).
 func TestHeapMmapEquivalence(t *testing.T) {
-	for _, width := range []int{0, 4, 6, 8} {
+	for _, width := range []int{0, 4, 5, 6, 7, 8} {
 		t.Run(fmt.Sprintf("bits=%d", width), func(t *testing.T) {
-			ix := gri3Index(t, width)
-			path := filepath.Join(t.TempDir(), "ix.gri3")
-			if err := ix.Save(path); err != nil {
-				t.Fatal(err)
+			n, path := 1<<width, legacyUnpackedFixture
+			if width == 0 {
+				n = 16
+			}
+			ix := gri3Index(t, n)
+			if width != 0 {
+				path = filepath.Join(t.TempDir(), "ix.gri3")
+				if err := ix.Save(path); err != nil {
+					t.Fatal(err)
+				}
 			}
 			heap, err := Load(path)
 			if err != nil {
@@ -75,8 +93,10 @@ func TestHeapMmapEquivalence(t *testing.T) {
 			if canMmap() && mm.Resident() != "mmap" {
 				t.Fatalf("mmap load resident %q", mm.Resident())
 			}
-			if lay := mm.Layout(); lay.BitsPerDim != width {
-				t.Fatalf("mmap layout %+v, want %d-bit", lay, width)
+			for name, l := range map[string]*Index{"heap": heap, "mmap": mm} {
+				if lay := l.Layout(); lay != ix.Layout() || lay.BitsPerDim != max(width, 4) {
+					t.Fatalf("%s layout %+v, fresh build %+v", name, lay, ix.Layout())
+				}
 			}
 			for _, workers := range []int{1, 2, 4, 8} {
 				for _, qi := range []int{0, 123, 299} {
@@ -114,7 +134,7 @@ func TestHeapMmapEquivalence(t *testing.T) {
 // re-serialization — and Checkpoint republishes the index from the
 // newly written file without disturbing the epoch counter.
 func TestMmapIndexMutatesAndCheckpoints(t *testing.T) {
-	ix := gri3Index(t, 6)
+	ix := gri3Index(t, 16)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "ix.gri3")
 	if err := ix.Save(path); err != nil {
@@ -262,12 +282,64 @@ func TestLoadAllocationCounts(t *testing.T) {
 	}
 }
 
-// TestMigrationGRI2 hand-constructs a version-2 packed stream the way
-// the original writer produced it, loads it through the heap path, and
-// proves the re-save is byte-identical to a fresh build's GRI3 — the
-// v2 half of the migration matrix (layout_test.go covers v1).
+// requireMigrated checks a legacy file through both loaders: each must
+// report format, answer byte-identically to fresh (a new build over the
+// same data) at one and four workers, scan at the derived width, and
+// re-save byte-identical to fresh's GRI3.
+func requireMigrated(t *testing.T, path, format string, fresh *Index) {
+	t.Helper()
+	var want bytes.Buffer
+	if _, err := fresh.WriteTo(&want); err != nil {
+		t.Fatal(err)
+	}
+	for name, open := range map[string]func(string) (*Index, error){"Load": Load, "LoadMmap": LoadMmap} {
+		got, err := open(path)
+		if err != nil {
+			t.Fatalf("%s rejected the %s file: %v", name, format, err)
+		}
+		defer got.Close()
+		if got.Format() != format {
+			t.Fatalf("%s: format %q, want %q", name, got.Format(), format)
+		}
+		if lay := got.Layout(); lay != fresh.Layout() {
+			t.Fatalf("%s: layout %+v, want the derived %+v", name, lay, fresh.Layout())
+		}
+		for _, qi := range []int{0, 77, 299} {
+			q := fresh.Products()[qi]
+			for _, workers := range []int{1, 4} {
+				wantKR, _ := fresh.ReverseKRanksCtx(context.Background(), q, 7, WithWorkers(workers))
+				wantTK, _ := fresh.ReverseTopKCtx(context.Background(), q, 7, WithWorkers(workers))
+				gotKR, err := got.ReverseKRanksCtx(context.Background(), q, 7, WithWorkers(workers))
+				if err != nil {
+					t.Fatal(err)
+				}
+				gotTK, err := got.ReverseTopKCtx(context.Background(), q, 7, WithWorkers(workers))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if fmt.Sprintf("%+v/%+v", gotKR, gotTK) != fmt.Sprintf("%+v/%+v", wantKR, wantTK) {
+					t.Fatalf("%s: q %d workers %d: answers diverge from a fresh build", name, qi, workers)
+				}
+			}
+		}
+		var resaved bytes.Buffer
+		if _, err := got.WriteTo(&resaved); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(resaved.Bytes(), want.Bytes()) {
+			t.Fatalf("%s: re-saved %s index is not byte-identical to the fresh GRI3 stream", name, format)
+		}
+	}
+}
+
+// TestMigrationGRI2 hand-constructs a version-2 stream packed at width 6
+// the way the original writer produced it — wider than the 4 bits
+// gri3Index's 16-partition grid derives — and proves both loaders accept
+// it, scan at the derived width, answer like a fresh build and re-save
+// byte-identical to its GRI3 — the v2 half of the migration matrix
+// (layout_test.go covers v1).
 func TestMigrationGRI2(t *testing.T) {
-	ix := gri3Index(t, 6)
+	ix := gri3Index(t, 16)
 	e := ix.snap()
 	var v2 bytes.Buffer
 	hdr := make([]byte, 4+4+4+8)
@@ -285,26 +357,44 @@ func TestMigrationGRI2(t *testing.T) {
 	if err := e.gir.PointCells().PackRows(6).Write(&v2); err != nil {
 		t.Fatal(err)
 	}
+	path := filepath.Join(t.TempDir(), "v2.gri")
+	if err := os.WriteFile(path, v2.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if ix.Layout().BitsPerDim != 4 {
+		t.Fatalf("16-partition grid derives %d bits, want 4", ix.Layout().BitsPerDim)
+	}
+	requireMigrated(t, path, "GRI2", ix)
+}
 
-	got, err := ReadIndex(bytes.NewReader(v2.Bytes()))
-	if err != nil {
-		t.Fatalf("v2 file rejected: %v", err)
-	}
-	if got.Format() != "GRI2" {
-		t.Fatalf("format %q, want GRI2", got.Format())
-	}
-	if lay := got.Layout(); !lay.Packed || lay.BitsPerDim != 6 {
-		t.Fatalf("v2 layout lost: %+v", lay)
-	}
-	var fresh, resaved bytes.Buffer
-	if _, err := ix.WriteTo(&fresh); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := got.WriteTo(&resaved); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(resaved.Bytes(), fresh.Bytes()) {
-		t.Fatal("re-saved v2 index is not byte-identical to the fresh GRI3 stream")
+// TestMigrationLegacyGRI3 loads the committed legacy fixtures — GRI3
+// files stored unpacked and at a non-derived width — through both
+// loaders, which re-pack their rows on the heap at the derived width.
+func TestMigrationLegacyGRI3(t *testing.T) {
+	fresh := gri3Index(t, 16)
+	for _, tc := range []struct {
+		path     string
+		bits     int
+		sections int
+	}{
+		{legacyUnpackedFixture, 0, secPackedRows - 1},
+		{legacyWidth6Fixture, 6, secPackedRows},
+	} {
+		t.Run(fmt.Sprintf("bits=%d", tc.bits), func(t *testing.T) {
+			raw, err := os.ReadFile(tc.path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h, err := parseGRI3Header(raw[:gri3HeaderLen])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if h.packedBits != tc.bits || h.sections != tc.sections {
+				t.Fatalf("fixture header packedBits=%d sections=%d, want %d and %d",
+					h.packedBits, h.sections, tc.bits, tc.sections)
+			}
+			requireMigrated(t, tc.path, "GRI3", fresh)
+		})
 	}
 }
 
@@ -314,7 +404,7 @@ func TestMigrationGRI2(t *testing.T) {
 // lies are pinned by the canonical-offset equality — re-signing the
 // header CRC must not let them through.
 func TestGRI3RejectsCorruption(t *testing.T) {
-	ix := gri3Index(t, 6)
+	ix := gri3Index(t, 16)
 	var buf bytes.Buffer
 	if _, err := ix.WriteTo(&buf); err != nil {
 		t.Fatal(err)

@@ -36,7 +36,6 @@
 package gridrank
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -126,14 +125,14 @@ type Options struct {
 	TargetFiltering float64
 
 	// Parallelism is the default number of worker goroutines a single
-	// query shards the preference set across. 0 and 1 keep the
-	// sequential scan (the default: the batch methods already
+	// query shards the preference set across. 0 and 1 scan on the
+	// calling goroutine (the default: the batch methods already
 	// parallelize across queries, and intra-query workers nested under
 	// them would oversubscribe the CPUs); values above 1 enable the
 	// intra-query worker pool for every query on this index. Answers are
 	// bit-identical at every setting — only the work distribution
-	// changes. Per-call overrides are available through the
-	// ReverseTopKParallel and ReverseKRanksParallel methods.
+	// changes. WithWorkers overrides it for a single call, and
+	// SetParallelism retunes it while serving.
 	Parallelism int
 
 	// CacheSize, when positive, attaches an answer cache holding up to
@@ -146,15 +145,6 @@ type Options struct {
 	// set; 0 means entries live until invalidated or evicted.
 	CacheTTL time.Duration
 
-	// PackedBits selects the physical layout of the scan structures: 0
-	// (the default) stores approximate product rows unpacked at one byte
-	// per cell; a value in [4, 8] stores them bit-packed at that many
-	// bits per cell and classifies them with the widened multi-row scan
-	// kernels (see DESIGN.md §13). Answers are byte-identical either way
-	// — only speed and memory change. 1<<PackedBits must be at least the
-	// grid partition count, so the default n=32 grid needs PackedBits ≥ 5.
-	PackedBits int
-
 	// FlightCapacity sizes the always-on flight recorder's ring (rounded
 	// up to a power of two). 0 selects the default
 	// (flight.DefaultCapacity); a negative value disables the recorder
@@ -164,16 +154,18 @@ type Options struct {
 	FlightCapacity int
 }
 
-// Layout reports the physical representation an index was built with,
-// as returned by Index.Layout.
+// Layout reports the physical representation of an index's scan
+// structures, as returned by Index.Layout. Approximate product rows are
+// always stored bit-packed, at the smallest width in [4, 8] bits per
+// cell that encodes the grid's partition count (see DESIGN.md §13).
 type Layout struct {
-	// Packed is true when approximate product rows are stored
-	// bit-packed (Options.PackedBits > 0).
+	// Packed is true: approximate product rows are stored bit-packed.
 	Packed bool
-	// BitsPerDim is the packed cell width, 0 when unpacked.
+	// BitsPerDim is the packed cell width the grid size derives: 4 for
+	// up to 16 partitions, 5 for 32, up to 8 for 256.
 	BitsPerDim int
 	// RowBlock is the number of rows the scan kernel classifies per
-	// call: algo.RowBlock when packed, 1 when unpacked.
+	// call.
 	RowBlock int
 }
 
@@ -186,10 +178,6 @@ var ErrBadK = errors.New("gridrank: k must be positive")
 
 // ErrBadParallelism reports a negative worker count.
 var ErrBadParallelism = errors.New("gridrank: parallelism must be non-negative")
-
-// ErrBadPackedBits reports an Options.PackedBits outside {0} ∪ [4, 8],
-// or one too narrow to encode the grid's partition count.
-var ErrBadPackedBits = errors.New("gridrank: invalid PackedBits")
 
 // Index holds the Grid-index over one product set and one preference
 // set. It is safe for concurrent use: queries read an immutable epoch
@@ -319,7 +307,6 @@ func New(products, preferences []Vector, opts *Options) (*Index, error) {
 
 	n := algo.DefaultPartitions
 	parallelism := 0
-	packedBits := 0
 	if opts != nil {
 		if opts.GridPartitions < 0 {
 			return nil, fmt.Errorf("gridrank: negative GridPartitions %d", opts.GridPartitions)
@@ -350,17 +337,6 @@ func New(products, preferences []Vector, opts *Options) (*Index, error) {
 			}
 			n = auto
 		}
-		if opts.PackedBits != 0 {
-			if opts.PackedBits < algo.MinPackedBits || opts.PackedBits > algo.MaxPackedBits {
-				return nil, fmt.Errorf("%w: %d outside {0} ∪ [%d, %d]",
-					ErrBadPackedBits, opts.PackedBits, algo.MinPackedBits, algo.MaxPackedBits)
-			}
-			if 1<<opts.PackedBits < n {
-				return nil, fmt.Errorf("%w: %d bits cannot encode %d grid partitions",
-					ErrBadPackedBits, opts.PackedBits, n)
-			}
-			packedBits = opts.PackedBits
-		}
 	}
 	// rangeP is the max observed value; nudge it up so the top value maps
 	// strictly inside the last cell even after floating-point rounding
@@ -384,7 +360,7 @@ func New(products, preferences []Vector, opts *Options) (*Index, error) {
 		pm:     pm,
 		wm:     wm,
 		rangeP: rangeP,
-		gir:    algo.NewGIRFromMatricesLayout(pm, wm, rangeP, n, algo.Layout{PackedBits: packedBits}),
+		gir:    algo.NewGIRFromMatrices(pm, wm, rangeP, n),
 	})
 	if opts != nil && opts.CacheSize > 0 {
 		if err := ix.EnableCache(opts.CacheSize, opts.CacheTTL); err != nil {
@@ -429,14 +405,10 @@ func (ix *Index) SetParallelism(workers int) error {
 }
 
 // Layout reports the physical representation of the current epoch's
-// scan structures: whether approximate product rows are bit-packed, at
-// what width, and how many rows the scan kernel classifies per call.
+// scan structures: the packed row width its grid size derives and how
+// many rows the scan kernel classifies per call.
 func (ix *Index) Layout() Layout {
-	b := ix.snap().gir.PackedBits()
-	if b == 0 {
-		return Layout{Packed: false, BitsPerDim: 0, RowBlock: 1}
-	}
-	return Layout{Packed: true, BitsPerDim: b, RowBlock: algo.RowBlock}
+	return Layout{Packed: true, BitsPerDim: ix.snap().gir.PackedBits(), RowBlock: algo.RowBlock}
 }
 
 // GridMemoryBytes returns the memory footprint of the boundary table.
@@ -483,87 +455,6 @@ func (ix *Index) checkPreference(w Vector) error {
 		}
 	}
 	return nil
-}
-
-// The eight methods below are the pre-context query surface, kept as
-// wrappers so existing callers migrate without breakage. Each is a
-// single delegation to the context-first entrypoints in query.go; see
-// the migration table in README.md.
-
-// ReverseTopK returns, in ascending order, the indexes of every
-// preference vector that places q within its top-k products.
-//
-// Deprecated: Use ReverseTopKCtx, which adds cancellation, deadlines and
-// per-call options. This method is ReverseTopKCtx(context.Background(), q, k).
-func (ix *Index) ReverseTopK(q Vector, k int) ([]int, error) {
-	return ix.ReverseTopKCtx(context.Background(), q, k)
-}
-
-// ReverseTopKStats is ReverseTopK with work statistics.
-//
-// Deprecated: Use ReverseTopKCtx with WithStats.
-func (ix *Index) ReverseTopKStats(q Vector, k int) (res []int, s Stats, err error) {
-	res, err = ix.ReverseTopKCtx(context.Background(), q, k, WithStats(&s))
-	return res, s, err
-}
-
-// ReverseTopKParallel is ReverseTopK with an explicit intra-query worker
-// count overriding the index default: 1 forces the sequential scan,
-// values above 1 shard the preference set across that many goroutines,
-// and 0 means GOMAXPROCS. The answer is bit-identical for every worker
-// count; negative counts are rejected.
-//
-// Deprecated: Use ReverseTopKCtx with WithWorkers.
-func (ix *Index) ReverseTopKParallel(q Vector, k, workers int) ([]int, error) {
-	return ix.ReverseTopKCtx(context.Background(), q, k, WithWorkers(workers))
-}
-
-// ReverseTopKParallelStats is ReverseTopKParallel with work statistics.
-//
-// Deprecated: Use ReverseTopKCtx with WithWorkers and WithStats.
-func (ix *Index) ReverseTopKParallelStats(q Vector, k, workers int) (res []int, s Stats, err error) {
-	res, err = ix.ReverseTopKCtx(context.Background(), q, k, WithWorkers(workers), WithStats(&s))
-	return res, s, err
-}
-
-// ReverseKRanks returns the k preference vectors ranking q best, ordered
-// by ascending rank (ties toward smaller indexes). It never returns an
-// empty answer for k ≥ 1 — if fewer than k preferences exist, all are
-// returned.
-//
-// Deprecated: Use ReverseKRanksCtx, which adds cancellation, deadlines
-// and per-call options. This method is
-// ReverseKRanksCtx(context.Background(), q, k).
-func (ix *Index) ReverseKRanks(q Vector, k int) ([]Match, error) {
-	return ix.ReverseKRanksCtx(context.Background(), q, k)
-}
-
-// ReverseKRanksStats is ReverseKRanks with work statistics.
-//
-// Deprecated: Use ReverseKRanksCtx with WithStats.
-func (ix *Index) ReverseKRanksStats(q Vector, k int) (res []Match, s Stats, err error) {
-	res, err = ix.ReverseKRanksCtx(context.Background(), q, k, WithStats(&s))
-	return res, s, err
-}
-
-// ReverseKRanksParallel is ReverseKRanks with an explicit intra-query
-// worker count overriding the index default: 1 forces the sequential
-// scan, values above 1 shard the preference set across that many
-// goroutines, and 0 means GOMAXPROCS. The answer is bit-identical for
-// every worker count; negative counts are rejected.
-//
-// Deprecated: Use ReverseKRanksCtx with WithWorkers.
-func (ix *Index) ReverseKRanksParallel(q Vector, k, workers int) ([]Match, error) {
-	return ix.ReverseKRanksCtx(context.Background(), q, k, WithWorkers(workers))
-}
-
-// ReverseKRanksParallelStats is ReverseKRanksParallel with work
-// statistics.
-//
-// Deprecated: Use ReverseKRanksCtx with WithWorkers and WithStats.
-func (ix *Index) ReverseKRanksParallelStats(q Vector, k, workers int) (res []Match, s Stats, err error) {
-	res, err = ix.ReverseKRanksCtx(context.Background(), q, k, WithWorkers(workers), WithStats(&s))
-	return res, s, err
 }
 
 // AggMatch is one aggregate reverse rank result: a preference index and

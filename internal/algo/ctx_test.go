@@ -64,14 +64,14 @@ func TestSequentialCancellationIsChunkBounded(t *testing.T) {
 		run  func(ctx context.Context, c *stats.Counters) error
 	}{
 		{"rtk", func(ctx context.Context, c *stats.Counters) error {
-			res, err := gir.ReverseTopKCtx(ctx, q, 10, 1, c)
+			res, err := gir.ReverseTopKOpts(ctx, q, 10, QueryOpts{Workers: 1, Counters: c})
 			if res != nil {
 				t.Errorf("cancelled RTK returned a partial answer: %v", res)
 			}
 			return err
 		}},
 		{"rkr", func(ctx context.Context, c *stats.Counters) error {
-			res, err := gir.ReverseKRanksCtx(ctx, q, 10, 1, c)
+			res, err := gir.ReverseKRanksOpts(ctx, q, 10, QueryOpts{Workers: 1, Counters: c})
 			if res != nil {
 				t.Errorf("cancelled RKR returned a partial answer: %v", res)
 			}
@@ -79,9 +79,9 @@ func TestSequentialCancellationIsChunkBounded(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			// Call 1 is the upfront check; call 2 is the poll at weight
-			// cancelChunk. The scan must stop there, having processed
-			// exactly one chunk of the 20.
+			// Call 1 is the upfront check; call 2 is the poll before the
+			// second chunk, at weight cancelChunk. The scan must stop
+			// there, having processed exactly one chunk of the 20.
 			ctx := newCountdownCtx(1)
 			var c stats.Counters
 			if err := tc.run(ctx, &c); err != context.Canceled {
@@ -109,11 +109,11 @@ func TestParallelCancellationIsChunkBounded(t *testing.T) {
 		run  func(ctx context.Context, c *stats.Counters) error
 	}{
 		{"rtk", func(ctx context.Context, c *stats.Counters) error {
-			_, err := gir.ReverseTopKCtx(ctx, q, 10, workers, c)
+			_, err := gir.ReverseTopKOpts(ctx, q, 10, QueryOpts{Workers: workers, Counters: c})
 			return err
 		}},
 		{"rkr", func(ctx context.Context, c *stats.Counters) error {
-			_, err := gir.ReverseKRanksCtx(ctx, q, 10, workers, c)
+			_, err := gir.ReverseKRanksOpts(ctx, q, 10, QueryOpts{Workers: workers, Counters: c})
 			return err
 		}},
 	} {
@@ -143,10 +143,10 @@ func TestCancelledQueryLeaksNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 20; i++ {
 		ctx := newCountdownCtx(1 + i%4)
-		if _, err := gir.ReverseTopKCtx(ctx, q, 10, 4, nil); err != context.Canceled {
+		if _, err := gir.ReverseTopKOpts(ctx, q, 10, QueryOpts{Workers: 4}); err != context.Canceled {
 			t.Fatalf("run %d: err = %v", i, err)
 		}
-		if _, err := gir.ReverseKRanksCtx(ctx, q, 10, 4, nil); err != context.Canceled {
+		if _, err := gir.ReverseKRanksOpts(ctx, q, 10, QueryOpts{Workers: 4}); err != context.Canceled {
 			t.Fatalf("run %d: err = %v", i, err)
 		}
 	}
@@ -169,10 +169,10 @@ func TestExpiredDeadlineStopsBeforeScanning(t *testing.T) {
 	defer cancel()
 	for _, workers := range []int{1, 4} {
 		var c stats.Counters
-		if _, err := gir.ReverseTopKCtx(ctx, q, 10, workers, &c); err != context.DeadlineExceeded {
+		if _, err := gir.ReverseTopKOpts(ctx, q, 10, QueryOpts{Workers: workers, Counters: &c}); err != context.DeadlineExceeded {
 			t.Fatalf("workers=%d RTK err = %v, want DeadlineExceeded", workers, err)
 		}
-		if _, err := gir.ReverseKRanksCtx(ctx, q, 10, workers, &c); err != context.DeadlineExceeded {
+		if _, err := gir.ReverseKRanksOpts(ctx, q, 10, QueryOpts{Workers: workers, Counters: &c}); err != context.DeadlineExceeded {
 			t.Fatalf("workers=%d RKR err = %v, want DeadlineExceeded", workers, err)
 		}
 		if c.Filtered+c.Refinements != 0 {
@@ -181,32 +181,29 @@ func TestExpiredDeadlineStopsBeforeScanning(t *testing.T) {
 	}
 }
 
-// TestCtxAnswersMatchPlainCalls pins the zero-cost property: attaching a
-// background context changes neither the answers nor the counters.
+// TestCtxAnswersMatchPlainCalls pins the zero-cost property: running
+// under a live cancellable context, at any worker count, changes no
+// answer of the context-free RTKAlgorithm/RKRAlgorithm forms.
 func TestCtxAnswersMatchPlainCalls(t *testing.T) {
 	gir, q := ctxTestGIR(t, 3000)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	wantRTK := gir.ReverseTopK(q, 10, nil)
+	wantRKR := gir.ReverseKRanks(q, 10, nil)
 	for _, workers := range []int{1, 2, 4, 8} {
-		var cPlain, cCtx stats.Counters
-		wantRTK := gir.ReverseTopKParallel(q, 10, workers, &cPlain)
-		gotRTK, err := gir.ReverseTopKCtx(context.Background(), q, 10, workers, &cCtx)
+		gotRTK, err := gir.ReverseTopKOpts(ctx, q, 10, QueryOpts{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !equalInts(wantRTK, gotRTK) {
 			t.Fatalf("workers=%d: RTK %v != %v", workers, gotRTK, wantRTK)
 		}
-		wantRKR := gir.ReverseKRanksParallel(q, 10, workers, nil)
-		gotRKR, err := gir.ReverseKRanksCtx(context.Background(), q, 10, workers, nil)
+		gotRKR, err := gir.ReverseKRanksOpts(ctx, q, 10, QueryOpts{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(wantRKR) != len(gotRKR) {
-			t.Fatalf("workers=%d: RKR lengths differ", workers)
-		}
-		for i := range wantRKR {
-			if wantRKR[i] != gotRKR[i] {
-				t.Fatalf("workers=%d: RKR[%d] %+v != %+v", workers, i, gotRKR[i], wantRKR[i])
-			}
+		if !equalMatches(wantRKR, gotRKR) {
+			t.Fatalf("workers=%d: RKR %+v != %+v", workers, gotRKR, wantRKR)
 		}
 	}
 }

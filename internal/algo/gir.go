@@ -23,15 +23,18 @@ import (
 // lookups and additions, zero multiplications), and compute exact scores
 // only for the Case-3 candidates that survive.
 //
-// Two layout decisions make the scan cost proportional to DISTINCT grid
-// cells rather than raw data size (see DESIGN.md §9):
+// Three layout decisions make the scan cost proportional to DISTINCT grid
+// cells rather than raw data size (see DESIGN.md §9 and §13):
 //
 //   - Points sharing an approximate vector receive identical bounds under
 //     every weight, so the bound evaluation runs once per point group and
 //     Case 1/2 classify the whole group at once.
 //   - Weights sharing an approximate vector select identical grid columns,
 //     so the scan visits W in cell-sorted order and re-gathers the
-//     interleaved bound scratch only when the weight group changes.
+//     bound scratch only when the weight group changes.
+//   - The distinct point rows are stored bit-packed at PackedWidth(n)
+//     bits per cell (Section 3.2's b·d-bit strings) and classified four
+//     rows per kernel call (gir_packed.go).
 //
 // P and W are stored as contiguous row-major matrices (Point/Weight
 // return stride-d views into that storage), so the Case-3 refinement
@@ -47,30 +50,19 @@ type GIR struct {
 	// ablation experiment that measures what the buffer is worth.
 	DisableDomin bool
 
-	// Parallelism is the number of worker goroutines a single query
-	// shards W across (see gir_parallel.go). 0 or 1 keeps the sequential
-	// scan; values above 1 enable the intra-query worker pool. Results
-	// are identical either way. The field is read-only configuration and
-	// must not be changed while queries are in flight.
-	Parallelism int
-
 	g  grid.Bounder
 	pa *grid.Index        // P^(A)
 	wa *grid.Index        // W^(A)
 	pg *grid.GroupedIndex // distinct P^(A) rows with member lists
 	wg *grid.GroupedIndex // distinct W^(A) rows; MemberOrder is the scan order
 
-	// packedBits > 0 stores the distinct P^(A) rows bit-packed at that
-	// many bits per cell (Section 3.2's b·d-bit strings) and routes
-	// classification through the widened kernels of gir_packed.go; 0
-	// keeps the unpacked uint8 rows. pk caches the grouping's packed
-	// store so the hot loop reaches it in one load.
-	packedBits int
-	pk         *bits.PackedRows
+	// pk is pg's packed row store at PackedWidth(g.N()) bits per cell,
+	// cached so the hot loop reaches it in one load.
+	pk *bits.PackedRows
 
 	// pool recycles per-query state (Domin buffer, bound scratch, result
 	// heap and buffers) so steady-state queries allocate only their result
-	// slice. Shared by the sequential and parallel paths.
+	// slice. Shared by the inline scan and the fanned-out workers.
 	pool sync.Pool
 }
 
@@ -79,22 +71,24 @@ type GIR struct {
 const DefaultPartitions = 32
 
 // Packed-width limits: below 4 bits a grid would have at most 8
-// partitions (too coarse to be worth a dedicated layout), above 8 a
-// cell no longer fits the uint8 unpacked rows the rest of the pipeline
-// shares.
+// partitions (too coarse to be worth a narrower kernel), above 8 a cell
+// no longer fits the uint8 cell rows the rest of the pipeline shares.
 const (
 	MinPackedBits = 4
 	MaxPackedBits = 8
 )
 
-// Layout selects the physical representation of the scan structures.
-// The zero value is the default unpacked layout.
-type Layout struct {
-	// PackedBits of 0 keeps unpacked uint8 cell rows; a value in
-	// [MinPackedBits, MaxPackedBits] stores the distinct point rows
-	// bit-packed at that width and classifies them with the widened
-	// multi-row kernels. 1<<PackedBits must cover the grid partitions.
-	PackedBits int
+// PackedWidth is the packed cell width of an n-partition grid: the
+// smallest b in [MinPackedBits, MaxPackedBits] with 2^b ≥ n. Every GIR
+// stores its point rows at exactly this width — fresh builds, rebuilds,
+// derived epochs and loaded files alike — so a grid size determines the
+// scan kernel and the saved bytes.
+func PackedWidth(n int) int {
+	b := MinPackedBits
+	for 1<<b < n && b < MaxPackedBits {
+		b++
+	}
+	return b
 }
 
 // NewGIR builds the Grid-index for point attributes in [0, rangeP) with n
@@ -157,50 +151,27 @@ func CanonicalWeightRange(wm *vec.Matrix) float64 {
 // pre-computing both approximate vector sets and their cell groupings.
 func NewGIRWithBounder(P, W []vec.Vector, g grid.Bounder) *GIR {
 	validateSets(P, W)
-	return newGIR(vec.NewMatrix(P), vec.NewMatrix(W), g, Layout{})
-}
-
-// NewGIRLayout is NewGIR with an explicit storage layout.
-func NewGIRLayout(P, W []vec.Vector, rangeP float64, n int, lay Layout) *GIR {
-	validateSets(P, W)
-	if n < 1 {
-		panic(fmt.Sprintf("algo: grid partitions %d < 1", n))
-	}
-	return newGIR(vec.NewMatrix(P), vec.NewMatrix(W), grid.New(n, rangeP, maxComponent(W)), lay)
+	return newGIR(vec.NewMatrix(P), vec.NewMatrix(W), g)
 }
 
 // NewGIRFromMatrices is NewGIR over pre-flattened data sets, adopting the
 // matrices without copying. The root package uses it so the index and the
 // algorithm share one backing array per set.
 func NewGIRFromMatrices(pm, wm *vec.Matrix, rangeP float64, n int) *GIR {
-	return NewGIRFromMatricesLayout(pm, wm, rangeP, n, Layout{})
-}
-
-// NewGIRFromMatricesLayout is NewGIRFromMatrices with an explicit storage
-// layout.
-func NewGIRFromMatricesLayout(pm, wm *vec.Matrix, rangeP float64, n int, lay Layout) *GIR {
 	if n < 1 {
 		panic(fmt.Sprintf("algo: grid partitions %d < 1", n))
 	}
-	return newGIR(pm, wm, grid.New(n, rangeP, CanonicalWeightRange(wm)), lay)
+	return newGIR(pm, wm, grid.New(n, rangeP, CanonicalWeightRange(wm)))
 }
 
-func newGIR(pm, wm *vec.Matrix, g grid.Bounder, lay Layout) *GIR {
+func newGIR(pm, wm *vec.Matrix, g grid.Bounder) *GIR {
 	pa := grid.NewPointIndex(g, pm.Rows())
 	wa := grid.NewWeightIndex(g, wm.Rows())
-	gr := &GIR{
-		pm: pm,
-		wm: wm,
-		g:  g,
-		pa: pa,
-		wa: wa,
-		pg: grid.NewGrouped(pa),
-		wg: grid.NewGrouped(wa),
-	}
-	if lay.PackedBits != 0 {
-		gr.enablePacked(lay.PackedBits)
-	}
-	return gr
+	return NewGIRFromParts(GIRParts{
+		PM: pm, WM: wm, Grid: g,
+		PA: pa, WA: wa,
+		PG: grid.NewGrouped(pa), WG: grid.NewGrouped(wa),
+	})
 }
 
 // GIRParts are the precomputed artifacts NewGIRFromParts assembles a
@@ -212,19 +183,23 @@ type GIRParts struct {
 	Grid   grid.Bounder
 	PA, WA *grid.Index        // P^(A), W^(A) element cells
 	PG, WG *grid.GroupedIndex // their groupings
-	// PackedBits > 0 routes classification through the packed kernels;
-	// PG.Packed() must then hold the matching-width store.
-	PackedBits int
 }
 
 // NewGIRFromParts assembles a GIR from precomputed artifacts without
-// deriving anything: no approximate vectors are recomputed, no rows are
+// re-deriving them: no approximate vectors are recomputed, no rows are
 // regrouped, no row headers are materialized — the O(1) constructor the
-// mmap load path needs. The caller (the persist layer) is responsible
-// for the parts being mutually consistent; shape checks that cost more
-// than O(groups) belong there, not here.
+// mmap load path needs. The one exception is the packed row store: when
+// PG does not already carry it at PackedWidth(n) bits (a fresh grouping,
+// or a file written unpacked or at another width), PG's unique rows are
+// packed onto the heap here, O(groups·d). The caller (the persist layer)
+// is responsible for the parts being mutually consistent; shape checks
+// that cost more than O(groups) belong there, not here.
 func NewGIRFromParts(parts GIRParts) *GIR {
-	gr := &GIR{
+	b := PackedWidth(parts.Grid.N())
+	if pk := parts.PG.Packed(); pk == nil || pk.BitsPerDim() != b {
+		parts.PG.Pack(b)
+	}
+	return &GIR{
 		pm: parts.PM,
 		wm: parts.WM,
 		g:  parts.Grid,
@@ -232,39 +207,12 @@ func NewGIRFromParts(parts GIRParts) *GIR {
 		wa: parts.WA,
 		pg: parts.PG,
 		wg: parts.WG,
+		pk: parts.PG.Packed(),
 	}
-	if b := parts.PackedBits; b != 0 {
-		if b < MinPackedBits || b > MaxPackedBits {
-			panic(fmt.Sprintf("algo: packed bits %d outside [%d, %d]", b, MinPackedBits, MaxPackedBits))
-		}
-		pk := gr.pg.Packed()
-		if pk == nil || pk.BitsPerDim() != b {
-			panic(fmt.Sprintf("algo: parts promise %d-bit packed rows but the grouping does not carry them", b))
-		}
-		gr.packedBits = b
-		gr.pk = pk
-	}
-	return gr
 }
 
-// enablePacked validates b against the grid and materializes the packed
-// point-row store. Construction-time only: the field is read-only
-// configuration once queries are in flight.
-func (gr *GIR) enablePacked(b int) {
-	if b < MinPackedBits || b > MaxPackedBits {
-		panic(fmt.Sprintf("algo: packed bits %d outside [%d, %d]", b, MinPackedBits, MaxPackedBits))
-	}
-	if 1<<b < gr.g.N() {
-		panic(fmt.Sprintf("algo: packed bits %d cannot encode %d grid partitions", b, gr.g.N()))
-	}
-	gr.pg.Pack(b)
-	gr.packedBits = b
-	gr.pk = gr.pg.Packed()
-}
-
-// PackedBits returns the configured packed row width, 0 when the index
-// stores unpacked uint8 rows.
-func (gr *GIR) PackedBits() int { return gr.packedBits }
+// PackedBits returns the packed row width, PackedWidth of the grid size.
+func (gr *GIR) PackedBits() int { return gr.pk.BitsPerDim() }
 
 // Name implements RTKAlgorithm and RKRAlgorithm.
 func (gr *GIR) Name() string { return "GIR" }
@@ -329,6 +277,13 @@ func (gr *GIR) WeightGroups() int { return gr.wg.Groups() }
 // whose score equals f_w(q) when the upper bound is tight), and the
 // cutoff test is rnk ≥ cutoff, matching the prose ("whenever rnk reaches
 // k") rather than the printed "rnk > k".
+//
+// The scan walks the packed row store in blocks of RowBlock live groups:
+// one width-specialized kernel call classifies a whole block (see
+// gir_packed.go), then the block's groups are consumed one by one in
+// scan order. The rare paths (first-time dominance sweeps, multi-member
+// refinement) live in noinline helpers below to keep their state out of
+// this frame.
 func (gr *GIR) rankBounded(wi int, q vec.Vector, cutoff int, dom *domin, scratch *girScratch, c *stats.Counters) (int, bool) {
 	w := gr.wm.Row(wi)
 	fq := vec.Dot(w, q)
@@ -340,138 +295,124 @@ func (gr *GIR) rankBounded(wi int, q vec.Vector, cutoff int, dom *domin, scratch
 		return cutoff, false
 	}
 	gr.loadWeightGroup(scratch, int(gr.wg.GroupOf(wi)))
-	if gr.pk != nil && !scratch.ref {
-		return gr.rankBoundedPacked(w, q, fq, rnk, cutoff, dom, scratch, c)
-	}
 	bnd := scratch.bounds
+	pk := gr.pk
+	words := pk.Words()
+	wpr := pk.WordsPerRow()
+	cpw := pk.CodesPerWord()
+	b := pk.BitsPerDim()
 	d := gr.pa.Dim()
-	n2 := 2 * gr.g.N()
-	// A packed index reaches this loop only through WithLayoutReference;
-	// its gathered table uses the packed split layout, so route
-	// classification through the matching scalar classifier.
-	split := gr.pk != nil
-	rows := gr.pg.Rows()
+	classify4 := packedClassify4Func(b)
 	single := gr.pg.Single()
 	groupLive := dom.groupLive
-	// The hot loop touches exactly one bookkeeping word per group
-	// (groupLive); everything else it needs — the unique rows, the bound
-	// scratch and the singleton cache — is a handful of locals, so the
-	// register allocator keeps the bound summation spill-free. The rare
-	// paths (first-time dominance sweeps, multi-member refinement) live in
-	// noinline helpers below precisely to keep their state out of this
-	// frame; continuous data (all singleton groups) then pays next to
-	// nothing over a per-point scan.
 	nG := len(groupLive)
-	for g, base := 0, 0; g < nG; g, base = g+1, base+d {
-		live := int(groupLive[g])
-		if live == 0 {
-			// Every member is a known dominator, already counted into the
-			// initial rnk.
-			continue
+	for g := 0; g < nG; {
+		// Gather the next RowBlock groups still live in scan order.
+		// Fully-dominated groups (every member a known dominator, counted
+		// into the initial rnk) are skipped before classification, so the
+		// kernel only ever prices rows that need pricing. Liveness only
+		// decreases, so a group skipped here stays skipped; a group
+		// gathered here is re-checked at consume time below.
+		var gs [RowBlock]int32
+		cnt := 0
+		for ; g < nG && cnt < RowBlock; g++ {
+			if groupLive[g] != 0 {
+				gs[cnt] = int32(g)
+				cnt++
+			}
 		}
-		if c != nil {
-			c.BoundSums++
-			c.ApproxVisited++
+		// cs4 == 0 marks "classify scalar" for a short tail gather: real
+		// case codes are 1..3 per byte, so a full block never packs to
+		// zero.
+		cs4 := uint32(0)
+		if cnt == RowBlock {
+			cs4 = classify4(words, int(gs[0])*wpr, int(gs[1])*wpr, int(gs[2])*wpr, int(gs[3])*wpr, d, bnd, fq)
+			// All four rows Case 2 is the scan's most common no-op block:
+			// q precedes every member, nothing counts, nothing refines.
+			// Without counters the whole block can be dropped on one
+			// compare instead of four unpredictable per-group branches.
+			if cs4 == allCaseAfter && c == nil {
+				continue
+			}
 		}
-		var cs int32
-		if split {
-			cs = classifyRowSplit(rows[base:base+d], bnd, fq)
-		} else {
-			cs = classifyRow(rows[base:base+d], bnd, n2, fq)
-		}
-		if cs == caseBefore { // Case 1: the whole group precedes q
-			rnk += live
+		for t := 0; t < cnt; t, cs4 = t+1, cs4>>8 {
+			gi := int(gs[t])
+			live := int(groupLive[gi])
+			if live == 0 {
+				// Killed by a dominator observed since the gather; its
+				// members are already counted into rnk.
+				continue
+			}
 			if c != nil {
-				c.Filtered += int64(live)
-				c.Case1Filtered += int64(live)
+				c.BoundSums++
+				c.ApproxVisited++
 			}
-			// Dominance-test the members once per query (memoized); after
-			// the group is fully checked this branch is two loads.
-			if !gr.DisableDomin && dom.groupChecked[g] < dom.groupSizes[g] {
-				gr.observeGroup(g, dom, q)
+			cs := int32(cs4 & 0xff)
+			if cs == 0 {
+				cs = classifyPackedRow(words[gi*wpr:(gi+1)*wpr], cpw, b, d, bnd, fq)
 			}
-			if rnk >= cutoff {
-				return cutoff, false
-			}
-			continue
-		}
-		if cs == caseRefine {
-			// Case 3: incomparable — refine with exact scores. Algorithm 1
-			// collects candidates and refines after the scan, but refining
-			// immediately keeps rnk an exact running count, so the cutoff
-			// fires as early as possible.
-			if pj := int(single[g]); pj >= 0 {
-				// Singleton: live > 0 already proves the lone member is
-				// not a known dominator, so the dom.has load is skipped.
+			if cs == caseBefore { // Case 1: the whole group precedes q
+				rnk += live
 				if c != nil {
-					c.PairwiseMults++
-					c.Refinements++
-					c.PointsVisited++
+					c.Filtered += int64(live)
+					c.Case1Filtered += int64(live)
 				}
-				p := gr.pm.Row(pj)
-				if vec.Dot(w, p) < fq {
-					rnk++
-					if !gr.DisableDomin {
-						dom.observe(pj, p, q)
-					}
-					if rnk >= cutoff {
-						return cutoff, false
-					}
+				// Dominance-test the members once per query (memoized);
+				// after the group is fully checked this branch is two
+				// loads.
+				if !gr.DisableDomin && dom.groupChecked[gi] < dom.groupSizes[gi] {
+					gr.observeGroup(gi, dom, q)
+				}
+				if rnk >= cutoff {
+					return cutoff, false
 				}
 				continue
 			}
-			var ok bool
-			if rnk, ok = gr.refineGroup(g, w, q, fq, rnk, cutoff, dom, c); !ok {
-				return cutoff, false
+			if cs == caseRefine {
+				// Case 3: incomparable — refine with exact scores.
+				// Algorithm 1 collects candidates and refines after the
+				// scan, but refining immediately keeps rnk an exact running
+				// count, so the cutoff fires as early as possible.
+				if pj := int(single[gi]); pj >= 0 {
+					// Singleton: live > 0 already proves the lone member is
+					// not a known dominator, so the dom.has load is skipped.
+					if c != nil {
+						c.PairwiseMults++
+						c.Refinements++
+						c.PointsVisited++
+					}
+					p := gr.pm.Row(pj)
+					if vec.Dot(w, p) < fq {
+						rnk++
+						if !gr.DisableDomin {
+							dom.observe(pj, p, q)
+						}
+						if rnk >= cutoff {
+							return cutoff, false
+						}
+					}
+					continue
+				}
+				var ok bool
+				if rnk, ok = gr.refineGroup(gi, w, q, fq, rnk, cutoff, dom, c); !ok {
+					return cutoff, false
+				}
+			} else if c != nil { // Case 2: q precedes the whole group
+				c.Filtered += int64(live)
+				c.Case2Filtered += int64(live)
 			}
-		} else if c != nil { // Case 2: q precedes the whole group
-			c.Filtered += int64(live)
-			c.Case2Filtered += int64(live)
 		}
 	}
 	return rnk, true
 }
 
-// Case codes returned by classifyRow, numbered as in Section 3.1.
+// Case codes returned by the classify kernels, numbered as in Section
+// 3.1.
 const (
 	caseBefore int32 = 1 // upper bound below f_w(q): the whole group precedes q
 	caseAfter  int32 = 2 // lower bound above f_w(q): q precedes the whole group
 	caseRefine int32 = 3 // bounds straddle f_w(q): members need exact scores
 )
-
-// classifyRow evaluates the Grid bounds of one unique approximate row
-// against fq in a single fused pass — adjacent loads, one loop.
-// (Computing the lower bound lazily, as Algorithm 1 suggests, measures
-// slower: the second pass re-pays the loop for every non-Case-1 row.)
-//
-// It is deliberately noinline: rankBounded's frame is call-heavy, and
-// Go's caller-saved ABI forces anything live across a call onto the
-// stack, so inlining this loop there makes every bound addend a stack
-// round-trip. As a call-free leaf with few live values the summation runs
-// entirely in registers, which measures faster than inlining despite the
-// call per group. (Batching several rows per call to amortize it further
-// measures slower again: the scan's cutoff usually fires within a few
-// dozen rows, so a batch wastes more bound evaluations than the call
-// costs.)
-//
-//go:noinline
-func classifyRow(row []uint8, bnd []float64, n2 int, fq float64) int32 {
-	var u, l float64
-	off := 0
-	for _, pc := range row {
-		j := off + 2*int(pc)
-		l += bnd[j]
-		u += bnd[j+1]
-		off += n2
-	}
-	if u < fq {
-		return caseBefore
-	}
-	if l <= fq {
-		return caseRefine
-	}
-	return caseAfter
-}
 
 // observeGroup runs the memoized dominance test over every member of point
 // group g. It is called at most once per (group, query) with work to do —
@@ -520,79 +461,41 @@ func (gr *GIR) refineGroup(g int, w, q vec.Vector, fq float64, rnk, cutoff int, 
 }
 
 // girScratch holds the per-query buffer rankBounded reuses across weight
-// vectors: the interleaved (lower, upper) column pairs, d·2n floats,
-// tagged by the weight group they were gathered for. The tag persists
-// across pooled reuse — the gathered columns depend only on the grid and
-// the weight group, both fixed per index.
+// vectors: the gathered (lower, upper) bound columns, d·packedBoundStride
+// floats, tagged by the weight group they were gathered for. The tag
+// persists across pooled reuse — the gathered columns depend only on the
+// grid and the weight group, both fixed per index.
 type girScratch struct {
 	bounds []float64
 	wgid   int32
-	// ref forces the unpacked float64 classification path for this query
-	// even when the index stores packed rows (the WithLayoutReference
-	// debugging aid). Reset on every getState.
-	ref bool
-}
-
-// boundStride is the per-dimension stride, in float64s, of the gathered
-// bound table. Unpacked indexes use the tight 2n (interleaved addend
-// pairs for the n point cells, nothing else). Packed indexes pad every
-// dimension to the constant packedBoundStride and split it into
-// lower/upper halves so the packed kernels can prove their table loads
-// in bounds and address them without per-row index arithmetic (see
-// gir_packed.go); only 2n entries per dimension are ever written or
-// read — cell codes are < n — and each row sum adds the same addend
-// values in the same dimension order in both layouts.
-func (gr *GIR) boundStride() int {
-	if gr.pk != nil {
-		return packedBoundStride
-	}
-	return 2 * gr.g.N()
 }
 
 // loadWeightGroup gathers the grid columns selected by the weight
 // group's approximate vector into the flat per-query scratch
-// (Equations 3 and 4, column-wise). The unpacked layout interleaves:
-// bnd[i·2n + 2·pc] is the lower addend and bnd[i·2n + 2·pc + 1] the
-// upper addend for dimension i, point cell pc, so the two addends of a
-// cell share a cache line. The packed layout splits each dimension's
-// stride into halves: bnd[i·s + pc] lower, bnd[i·s + packedBoundHalf +
-// pc] upper, the shape the packed kernels address with zero index
-// arithmetic. Touched entries are d·2n floats either way —
-// L1-resident for the paper's configurations. Weights are visited in
-// cell-sorted order, so consecutive rankBounded calls usually hit the
-// tag and skip the gather entirely.
+// (Equations 3 and 4, column-wise). Each dimension's stride is split
+// into halves: bnd[i·s + pc] is the lower and bnd[i·s + packedBoundHalf
+// + pc] the upper addend for dimension i, point cell pc — the shape the
+// packed kernels address with zero index arithmetic (gir_packed.go).
+// Touched entries are d·2n floats, L1-resident for the paper's
+// configurations. Weights are visited in cell-sorted order, so
+// consecutive rankBounded calls usually hit the tag and skip the gather
+// entirely.
 func (gr *GIR) loadWeightGroup(scratch *girScratch, wgid int) {
 	if scratch.wgid == int32(wgid) {
 		return
 	}
 	bnd := scratch.bounds
-	if gr.pk != nil {
-		for i, wc := range gr.wg.Row(wgid) {
-			loCol := gr.g.LowerColumn(wc)
-			upCol := gr.g.UpperColumn(wc)
-			row := bnd[i*packedBoundStride : i*packedBoundStride+packedBoundStride]
-			copy(row, loCol)
-			copy(row[packedBoundHalf:], upCol)
-		}
-		scratch.wgid = int32(wgid)
-		return
-	}
-	n2 := 2 * gr.g.N()
 	for i, wc := range gr.wg.Row(wgid) {
-		loCol := gr.g.LowerColumn(wc)
-		upCol := gr.g.UpperColumn(wc)
-		row := bnd[i*n2 : (i+1)*n2]
-		for pc := range loCol {
-			row[2*pc] = loCol[pc]
-			row[2*pc+1] = upCol[pc]
-		}
+		row := bnd[i*packedBoundStride : i*packedBoundStride+packedBoundStride]
+		copy(row, gr.g.LowerColumn(wc))
+		copy(row[packedBoundHalf:], gr.g.UpperColumn(wc))
 	}
 	scratch.wgid = int32(wgid)
 }
 
 func (gr *GIR) newScratch() *girScratch {
 	return &girScratch{
-		bounds: make([]float64, gr.pa.Dim()*gr.boundStride()),
+		bounds: make([]float64, gr.pa.Dim()*packedBoundStride),
 		wgid:   -1,
 	}
 }
@@ -630,7 +533,6 @@ type queryState struct {
 func (gr *GIR) getState() *queryState {
 	if st, ok := gr.pool.Get().(*queryState); ok {
 		st.dom.reset()
-		st.scratch.ref = false
 		st.res = st.res[:0]
 		return st
 	}
@@ -643,86 +545,41 @@ func (gr *GIR) getState() *queryState {
 
 func (gr *GIR) putState(st *queryState) { gr.pool.Put(st) }
 
-// cancelChunk is the cancellation granularity of both scan paths: the
-// sequential loops poll ctx.Err() every cancelChunk weight vectors, and
-// the parallel workers bound their claim chunks to at most cancelChunk
-// weights and poll between claims. One chunk is the most work a
-// cancelled query performs per goroutine before returning, and at ~|P|
-// operations per weight it amortizes the poll to nothing.
-const cancelChunk = 1024
-
-// ReverseTopK is GIRTop-k (Algorithm 2), sharded across gr.Parallelism
-// workers when configured above 1.
-func (gr *GIR) ReverseTopK(q vec.Vector, k int, c *stats.Counters) []int {
-	res, _ := gr.ReverseTopKCtx(context.Background(), q, k, gr.defaultWorkers(), c)
-	return res
-}
-
-// ReverseTopKParallel is ReverseTopK with an explicit worker count
-// overriding gr.Parallelism: 1 runs the sequential scan, values above 1
-// shard W across that many goroutines, and 0 or negative means
-// GOMAXPROCS. The answer is identical for every worker count.
-func (gr *GIR) ReverseTopKParallel(q vec.Vector, k, workers int, c *stats.Counters) []int {
-	res, _ := gr.ReverseTopKCtx(context.Background(), q, k, workers, c)
-	return res
-}
-
-// defaultWorkers maps gr.Parallelism to an explicit worker count: values
-// below 1 mean the sequential scan.
-func (gr *GIR) defaultWorkers() int {
-	if gr.Parallelism < 1 {
-		return 1
-	}
-	return gr.Parallelism
-}
-
-// ReverseTopKCtx is ReverseTopKParallel under a context: the scan polls
-// ctx between preference chunks (cancelChunk weights) on every goroutine,
-// so a cancelled or expired context stops the query within one chunk and
-// returns ctx.Err() with no workers left behind. The answer is identical
-// for every worker count; a cancelled query returns a nil answer.
-func (gr *GIR) ReverseTopKCtx(ctx context.Context, q vec.Vector, k, workers int, c *stats.Counters) ([]int, error) {
-	return gr.ReverseTopKTraced(ctx, q, k, workers, c, nil)
-}
-
-// QueryOpts bundles the per-query execution knobs of the Opts
-// entrypoints — the coherent replacement for the positional
-// (workers, counters, trace) parameter lists of the older variants.
-// The zero value runs a sequential, untraced, uncounted query on the
-// index's native layout.
+// QueryOpts bundles the per-query execution knobs of ReverseTopKOpts and
+// ReverseKRanksOpts. The zero value runs an untraced, uncounted query
+// on the calling goroutine.
 type QueryOpts struct {
-	// Workers shards W across that many goroutines; 0 or 1 keeps the
-	// sequential scan, negative means GOMAXPROCS. Answers are identical
-	// at every worker count.
+	// Workers shards W across that many goroutines; 0 or 1 runs the scan
+	// on the calling goroutine, negative means GOMAXPROCS. Answers are
+	// identical at every worker count.
 	Workers int
 	// Counters, when non-nil, accumulates the per-case scan breakdown.
 	Counters *stats.Counters
 	// Trace, when recording, receives scan/merge spans.
 	Trace *trace.Trace
-	// Reference forces the unpacked float64 classification path for this
-	// query even on a packed-layout index — a debugging/bisection aid;
-	// answers are byte-identical either way (the equivalence tests are
-	// the proof).
-	Reference bool
 }
 
-// ReverseTopKTraced is ReverseTopKCtx with per-query tracing: when tr is
-// a recording trace, the scan and result merge emit spans carrying the
-// per-case breakdown of Section 3.1 (Case-1 adds, Case-2 skips, Case-3
-// refinements, the filter rate and the dominator count). A nil tr is the
-// common case and adds no work to the query path — every span call on a
-// nil trace is a free no-op.
-func (gr *GIR) ReverseTopKTraced(ctx context.Context, q vec.Vector, k, workers int, c *stats.Counters, tr *trace.Trace) ([]int, error) {
-	if workers == 0 {
-		workers = -1 // positional 0 meant GOMAXPROCS; QueryOpts 0 means sequential
-	}
-	return gr.ReverseTopKOpts(ctx, q, k, QueryOpts{Workers: workers, Counters: c, Trace: tr})
+// ReverseTopK is GIRTop-k (Algorithm 2) on the calling goroutine — the
+// RTKAlgorithm form shared with the baselines. ReverseTopKOpts adds
+// cancellation, workers and tracing.
+func (gr *GIR) ReverseTopK(q vec.Vector, k int, c *stats.Counters) []int {
+	res, _ := gr.ReverseTopKOpts(context.Background(), q, k, QueryOpts{Counters: c})
+	return res
 }
 
 // ReverseTopKOpts is GIRTop-k (Algorithm 2) under a context with the
-// execution knobs gathered in QueryOpts; every other ReverseTopK variant
-// is a wrapper over it. See ReverseTopKCtx for the cancellation contract
-// and ReverseTopKTraced for the span contract.
+// execution knobs gathered in QueryOpts.
+//
+// Cancellation: the scan polls ctx between preference chunks (at most
+// cancelChunk weights) on every goroutine, so a cancelled or expired
+// context stops the query within one chunk and returns ctx.Err() with no
+// workers left behind; a cancelled query returns a nil answer.
+//
+// Tracing: when opts.Trace is recording, the scan and result merge emit
+// spans carrying the per-case breakdown of Section 3.1 (Case-1 adds,
+// Case-2 skips, Case-3 refinements, the filter rate and the dominator
+// count), plus one scan.worker child per goroutine when fanned out. A
+// nil trace is the common case and adds no work to the query path.
 func (gr *GIR) ReverseTopKOpts(ctx context.Context, q vec.Vector, k int, opts QueryOpts) ([]int, error) {
 	c, tr := opts.Counters, opts.Trace
 	if tr != nil && c == nil {
@@ -739,71 +596,45 @@ func (gr *GIR) ReverseTopKOpts(ctx context.Context, q vec.Vector, k int, opts Qu
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	workers := opts.Workers
-	if workers == 0 {
-		workers = 1
-	}
-	if workers = normalizeWorkers(workers, gr.wm.Len()); workers > 1 {
-		return gr.reverseTopKParallel(ctx, q, k, workers, c, tr, opts.Reference)
-	}
-	done := ctx.Done()
-	st := gr.getState()
-	defer gr.putState(st)
-	st.scratch.ref = opts.Reference
 	sp := tr.StartSpan("scan")
 	base := counterBaseline(sp, c)
-	var scanErr error
-	earlyEmpty := false
-	// Visit W in cell-sorted order so consecutive weights share the
-	// gathered bound columns; the answer set is order-independent
-	// (DESIGN.md §9) and re-sorted ascending below.
-	for pos, wi := range gr.wg.MemberOrder() {
-		if done != nil && pos%cancelChunk == 0 && pos > 0 {
-			if err := ctx.Err(); err != nil {
-				scanErr = err
-				break
-			}
-		}
-		if _, ok := gr.rankBounded(int(wi), q, k, st.dom, st.scratch, c); ok {
-			st.res = append(st.res, int(wi))
-		}
-		// Algorithm 2 lines 7–8: with k dominators, no weight can place q
-		// in its top-k.
-		if st.dom.count >= k {
-			earlyEmpty = true
-			break
-		}
+	var (
+		res        []int
+		dominators int
+	)
+	if workers := normalizeWorkers(opts.Workers, gr.wm.Len()); workers > 1 {
+		res, dominators = gr.reverseTopKFanOut(ctx, q, k, workers, sp, c)
+	} else {
+		st := gr.getState()
+		defer gr.putState(st)
+		gr.scanTopK(ctx, q, k, st, nil, c)
+		res, dominators = st.res, st.dom.count
 	}
-	endScanSpan(sp, c, base, st.dom.count, k, gr.wm.Len())
-	if scanErr != nil {
-		return nil, scanErr
+	endScanSpan(sp, c, base, dominators, k, gr.wm.Len())
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
-	if earlyEmpty || len(st.res) == 0 {
+	// Algorithm 2 lines 7–8: k distinct dominators imply every weight
+	// ranks q at k or worse, so the answer is empty.
+	if dominators >= k || len(res) == 0 {
 		return nil, nil
 	}
 	msp := tr.StartSpan("merge")
-	sort.Ints(st.res)
-	res := make([]int, len(st.res))
-	copy(res, st.res)
-	msp.SetInt("results", int64(len(res))).End()
-	return res, nil
+	// The visit order is cell-sorted (and sharded when fanned out); the
+	// answer set is order-independent (DESIGN.md §9) and returned
+	// ascending.
+	sort.Ints(res)
+	out := make([]int, len(res))
+	copy(out, res)
+	msp.SetInt("results", int64(len(out))).End()
+	return out, nil
 }
 
-// ReverseKRanks is GIRk-Rank (Algorithm 3): the size-k heap's worst
-// retained rank (minRank) is passed to GInTop-k as the filtering cutoff
-// and tightens as better weights are found. When gr.Parallelism exceeds
-// 1, the scan is sharded and the cutoff becomes a shared watermark.
+// ReverseKRanks is GIRk-Rank (Algorithm 3) on the calling goroutine —
+// the RKRAlgorithm form shared with the baselines. ReverseKRanksOpts
+// adds cancellation, workers and tracing.
 func (gr *GIR) ReverseKRanks(q vec.Vector, k int, c *stats.Counters) []topk.Match {
-	res, _ := gr.ReverseKRanksCtx(context.Background(), q, k, gr.defaultWorkers(), c)
-	return res
-}
-
-// ReverseKRanksParallel is ReverseKRanks with an explicit worker count
-// overriding gr.Parallelism: 1 runs the sequential scan, values above 1
-// shard W across that many goroutines, and 0 or negative means
-// GOMAXPROCS. The answer is identical for every worker count.
-func (gr *GIR) ReverseKRanksParallel(q vec.Vector, k, workers int, c *stats.Counters) []topk.Match {
-	res, _ := gr.ReverseKRanksCtx(context.Background(), q, k, workers, c)
+	res, _ := gr.ReverseKRanksOpts(context.Background(), q, k, QueryOpts{Counters: c})
 	return res
 }
 
@@ -811,7 +642,7 @@ func (gr *GIR) ReverseKRanksParallel(q vec.Vector, k, workers int, c *stats.Coun
 // visit order: one PAST the heap's admission threshold, because a weight
 // whose exact rank ties the worst retained match can still win the
 // (rank, index) tie-break — it must be evaluated exactly, not pruned.
-// This mirrors the parallel watermark's T+1 rule (DESIGN.md §7, §9).
+// This mirrors the fanned-out watermark's T+1 rule (DESIGN.md §7, §9).
 func admitCutoff(h *topk.KRankHeap) int {
 	t := h.Threshold()
 	if t == maxInt {
@@ -820,28 +651,14 @@ func admitCutoff(h *topk.KRankHeap) int {
 	return t + 1
 }
 
-// ReverseKRanksCtx is ReverseKRanksParallel under a context, with the
-// same cancellation contract as ReverseTopKCtx: every goroutine polls
-// ctx between preference chunks, so cancellation is honoured within one
-// chunk and the call returns ctx.Err() with no workers left behind.
-func (gr *GIR) ReverseKRanksCtx(ctx context.Context, q vec.Vector, k, workers int, c *stats.Counters) ([]topk.Match, error) {
-	return gr.ReverseKRanksTraced(ctx, q, k, workers, c, nil)
-}
-
-// ReverseKRanksTraced is ReverseKRanksCtx with per-query tracing; see
-// ReverseTopKTraced for the span contract. The scan span additionally
-// records the heap's admission count and final cutoff, which together
-// show how quickly the Algorithm 3 bound tightened.
-func (gr *GIR) ReverseKRanksTraced(ctx context.Context, q vec.Vector, k, workers int, c *stats.Counters, tr *trace.Trace) ([]topk.Match, error) {
-	if workers == 0 {
-		workers = -1 // positional 0 meant GOMAXPROCS; QueryOpts 0 means sequential
-	}
-	return gr.ReverseKRanksOpts(ctx, q, k, QueryOpts{Workers: workers, Counters: c, Trace: tr})
-}
-
 // ReverseKRanksOpts is GIRk-Rank (Algorithm 3) under a context with the
-// execution knobs gathered in QueryOpts; every other ReverseKRanks
-// variant is a wrapper over it.
+// execution knobs gathered in QueryOpts: the size-k heap's worst
+// retained rank is passed to GInTop-k as the filtering cutoff and
+// tightens as better weights are found; fanned out, the cutoff also
+// honours a shared watermark. Cancellation and tracing follow
+// ReverseTopKOpts; the scan span additionally records the final cutoff
+// (and, on the calling goroutine, the heap's admission count), which
+// together show how quickly the Algorithm 3 bound tightened.
 func (gr *GIR) ReverseKRanksOpts(ctx context.Context, q vec.Vector, k int, opts QueryOpts) ([]topk.Match, error) {
 	c, tr := opts.Counters, opts.Trace
 	if tr != nil && c == nil {
@@ -856,46 +673,32 @@ func (gr *GIR) ReverseKRanksOpts(ctx context.Context, q vec.Vector, k int, opts 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	workers := opts.Workers
-	if workers == 0 {
-		workers = 1
-	}
-	if workers = normalizeWorkers(workers, gr.wm.Len()); workers > 1 {
-		return gr.reverseKRanksParallel(ctx, q, k, workers, c, tr, opts.Reference)
-	}
-	done := ctx.Done()
-	st := gr.getState()
-	defer gr.putState(st)
-	st.scratch.ref = opts.Reference
-	h := st.heap
-	h.Reset(k)
 	sp := tr.StartSpan("scan")
 	base := counterBaseline(sp, c)
-	admits := 0
-	var scanErr error
-	for pos, wi := range gr.wg.MemberOrder() {
-		if done != nil && pos%cancelChunk == 0 && pos > 0 {
-			if err := ctx.Err(); err != nil {
-				scanErr = err
-				break
-			}
-		}
-		if rnk, ok := gr.rankBounded(int(wi), q, admitCutoff(h), st.dom, st.scratch, c); ok {
-			if h.Offer(topk.Match{WeightIndex: int(wi), Rank: rnk}) {
-				admits++
-			}
-		}
+	var (
+		st    *queryState  // the inline scan's state
+		union []topk.Match // the fanned-out workers' local answers
+	)
+	if workers := normalizeWorkers(opts.Workers, gr.wm.Len()); workers > 1 {
+		union = gr.reverseKRanksFanOut(ctx, q, k, workers, sp, c)
+	} else {
+		st = gr.getState()
+		defer gr.putState(st)
+		st.heap.Reset(k)
+		_, admits := gr.scanKRanks(ctx, q, st, nil, c)
+		sp.SetInt("heap_admits", int64(admits)).SetInt("cutoff_final", cutoffAttr(admitCutoff(st.heap)))
 	}
-	if sp != nil {
-		sp.SetInt("heap_admits", int64(admits))
-		sp.SetInt("cutoff_final", cutoffAttr(admitCutoff(h)))
-	}
-	endScanSpan(sp, c, base, st.dom.count, -1, gr.wm.Len())
-	if scanErr != nil {
-		return nil, scanErr
+	endScanSpan(sp, c, base, -1, -1, gr.wm.Len())
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	msp := tr.StartSpan("merge")
-	res := h.Results()
+	var res []topk.Match
+	if st != nil {
+		res = st.heap.Results()
+	} else {
+		res = mergeKRanks(union, k)
+	}
 	msp.SetInt("results", int64(len(res))).End()
 	return res, nil
 }

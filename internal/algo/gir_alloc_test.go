@@ -10,10 +10,12 @@ import (
 )
 
 // TestSteadyStateAllocations proves the zero-allocation query path: once
-// the state pool is warm, a sequential query allocates only its result
-// slice — everything else (Domin buffer, bound scratch, heap, collection
-// buffer) is recycled. The bound is 2 to absorb the occasional pool miss
-// after a GC cycle; the typical count is 1 (RKR) and 0 or 1 (RTK).
+// the state pool is warm, a one-worker query — the scan loop running
+// inline on the calling goroutine — allocates only its result slice;
+// everything else (Domin buffer, bound scratch, heap, collection buffer)
+// is recycled, and no goroutine, cursor or shared atomic is created.
+// The bound is 2 to absorb the occasional pool miss after a GC cycle;
+// the typical count is 1 (RKR) and 0 or 1 (RTK).
 func TestSteadyStateAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates, skewing AllocsPerRun")
@@ -34,21 +36,22 @@ func TestSteadyStateAllocations(t *testing.T) {
 	if got := testing.AllocsPerRun(20, func() { gir.ReverseTopK(q, 10, nil) }); got > 2 {
 		t.Errorf("steady-state RTK allocates %v times per query, want <= 2", got)
 	}
-	// The traced entrypoints with a nil trace must match: an untraced
-	// query through the tracing-aware code path pays nothing.
-	ctx := context.Background()
+	// The Opts entrypoints under a live cancellable context must match:
+	// polling ctx between chunks, with a nil trace, pays nothing.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	if got := testing.AllocsPerRun(20, func() {
-		if _, err := gir.ReverseKRanksTraced(ctx, q, 10, 1, nil, nil); err != nil {
+		if _, err := gir.ReverseKRanksOpts(ctx, q, 10, QueryOpts{Workers: 1}); err != nil {
 			t.Fatal(err)
 		}
 	}); got > 2 {
-		t.Errorf("nil-trace RKR allocates %v times per query, want <= 2", got)
+		t.Errorf("cancellable-context RKR allocates %v times per query, want <= 2", got)
 	}
 	if got := testing.AllocsPerRun(20, func() {
-		if _, err := gir.ReverseTopKTraced(ctx, q, 10, 1, nil, nil); err != nil {
+		if _, err := gir.ReverseTopKOpts(ctx, q, 10, QueryOpts{Workers: 1}); err != nil {
 			t.Fatal(err)
 		}
 	}); got > 2 {
-		t.Errorf("nil-trace RTK allocates %v times per query, want <= 2", got)
+		t.Errorf("cancellable-context RTK allocates %v times per query, want <= 2", got)
 	}
 }

@@ -7,7 +7,9 @@ package algo
 // table always, and the whole untouched side (a point mutation reuses
 // wa/wg as-is, a weight mutation reuses pa/pg). The derived GIR starts
 // with an empty query-state pool, so pooled Domin buffers and group
-// counters are always sized for their own epoch.
+// counters are always sized for their own epoch. The packed row store
+// travels with the point grouping: its derivations re-encode only the
+// rows they touch, so a derived GIR scans at its parent's width.
 //
 // The caller owns the range policy: these methods require the new
 // vector to fall inside the existing grid ranges (an out-of-range
@@ -46,10 +48,8 @@ func (gr *GIR) WithAppendedPoint(pm *vec.Matrix) *GIR {
 	pa := gr.pa.WithAppendedPoint(pm.Row(pm.Len() - 1))
 	pg := gr.pg.WithAppended(pa)
 	return &GIR{
-		pm: pm, wm: gr.wm,
-		DisableDomin: gr.DisableDomin, Parallelism: gr.Parallelism,
-		g: gr.g, pa: pa, wa: gr.wa, pg: pg, wg: gr.wg,
-		packedBits: gr.packedBits, pk: pg.Packed(),
+		pm: pm, wm: gr.wm, DisableDomin: gr.DisableDomin,
+		g: gr.g, pa: pa, wa: gr.wa, pg: pg, wg: gr.wg, pk: pg.Packed(),
 	}
 }
 
@@ -59,10 +59,8 @@ func (gr *GIR) WithRemovedPoint(pm *vec.Matrix, i int) *GIR {
 	pa := gr.pa.WithRemoved(i)
 	pg := gr.pg.WithRemoved(pa, i)
 	return &GIR{
-		pm: pm, wm: gr.wm,
-		DisableDomin: gr.DisableDomin, Parallelism: gr.Parallelism,
-		g: gr.g, pa: pa, wa: gr.wa, pg: pg, wg: gr.wg,
-		packedBits: gr.packedBits, pk: pg.Packed(),
+		pm: pm, wm: gr.wm, DisableDomin: gr.DisableDomin,
+		g: gr.g, pa: pa, wa: gr.wa, pg: pg, wg: gr.wg, pk: pg.Packed(),
 	}
 }
 
@@ -71,10 +69,8 @@ func (gr *GIR) WithRemovedPoint(pm *vec.Matrix, i int) *GIR {
 func (gr *GIR) WithAppendedWeight(wm *vec.Matrix) *GIR {
 	wa := gr.wa.WithAppendedWeight(wm.Row(wm.Len() - 1))
 	return &GIR{
-		pm: gr.pm, wm: wm,
-		DisableDomin: gr.DisableDomin, Parallelism: gr.Parallelism,
-		g: gr.g, pa: gr.pa, wa: wa, pg: gr.pg, wg: gr.wg.WithAppended(wa),
-		packedBits: gr.packedBits, pk: gr.pk,
+		pm: gr.pm, wm: wm, DisableDomin: gr.DisableDomin,
+		g: gr.g, pa: gr.pa, wa: wa, pg: gr.pg, wg: gr.wg.WithAppended(wa), pk: gr.pk,
 	}
 }
 
@@ -83,9 +79,7 @@ func (gr *GIR) WithAppendedWeight(wm *vec.Matrix) *GIR {
 func (gr *GIR) WithRemovedWeight(wm *vec.Matrix, i int) *GIR {
 	wa := gr.wa.WithRemoved(i)
 	return &GIR{
-		pm: gr.pm, wm: wm,
-		DisableDomin: gr.DisableDomin, Parallelism: gr.Parallelism,
-		g: gr.g, pa: gr.pa, wa: wa, pg: gr.pg, wg: gr.wg.WithRemoved(wa, i),
-		packedBits: gr.packedBits, pk: gr.pk,
+		pm: gr.pm, wm: wm, DisableDomin: gr.DisableDomin,
+		g: gr.g, pa: gr.pa, wa: wa, pg: gr.pg, wg: gr.wg.WithRemoved(wa, i), pk: gr.pk,
 	}
 }

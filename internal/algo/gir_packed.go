@@ -1,53 +1,45 @@
 package algo
 
-// Packed-row scan kernels. When the index is built with
-// Layout.PackedBits > 0, the distinct P^(A) rows live bit-packed in a
+// Packed-row scan kernels. The distinct P^(A) rows live bit-packed in a
 // bits.PackedRows store (Section 3.2's b·d-bit strings, fixed-stride and
-// word-aligned) and rankBounded routes here instead of the unpacked
-// loop. Two things change relative to rankBounded's loop, and nothing
-// else:
+// word-aligned, b = PackedWidth(n)), and rankBounded classifies them
+// here:
 //
 //   - Case 1/2 classification reads cell codes straight out of packed
 //     words (shift + mask, no byte loads and no unpacking to a row
 //     buffer). The per-(dimension, code) bound addends come from the
-//     same scratch.bounds table the unpacked path uses, indexed in the
-//     same dimension order, so every (lower, upper) sum is bit-identical
-//     to classifyRow's — Case boundaries cannot move, which is what
-//     makes packed answers byte-identical to the reference.
+//     gathered scratch.bounds table, added in dimension order, so every
+//     (lower, upper) sum is bit-identical to the per-point reference
+//     scan's (refRankBounded in the tests) — Case boundaries cannot
+//     move, which is what keeps answers byte-identical to it at every
+//     width.
 //   - The kernel is widened to RowBlock rows per call: one block of four
 //     rows classifies in a single noinline leaf with eight independent
-//     accumulator chains. The unpacked loop is latency-bound on two
-//     serial float adds per dimension; interleaving four rows gives the
-//     CPU independent work to overlap, and amortizes the call per group
-//     to a quarter.
+//     accumulator chains. A one-row loop is latency-bound on two serial
+//     float adds per dimension; interleaving four rows gives the CPU
+//     independent work to overlap, and amortizes the call per group to
+//     a quarter.
 //
-// Case 3 still unpacks nothing: refinement needs the exact float64
-// point, not the cells, so it reads the point matrix exactly as before. Blocks are
-// gathered from *live* groups only, in scan order, so fully-dominated
-// rows are never classified — the same skip the unpacked loop gets per
-// group — and counters are incremented only for groups still live at
-// consume time, keeping every stats.Counters field identical to the
-// unpacked path. The only speculation left is a group killed by a
+// Case 3 unpacks nothing: refinement needs the exact float64 point, not
+// the cells, so it reads the point matrix. Blocks are gathered from
+// *live* groups only, in scan order, so fully-dominated rows are never
+// classified, and counters are incremented only for groups still live
+// at consume time, so every stats.Counters field equals a one-group-at-
+// a-time scan's. The only speculation left is a group killed by a
 // dominator observed between gather and consume: its classification is
 // wasted arithmetic, but it is skipped unconsumed and uncharged.
-
-import (
-	"gridrank/internal/stats"
-	"gridrank/internal/vec"
-)
 
 // RowBlock is the widened kernel's block width: classifyPacked4
 // processes this many rows per call. Reported by Index.Layout().
 const RowBlock = 4
 
-// packedBoundStride is the per-dimension stride of the bound table a
-// packed index gathers (boundStride in gir.go): 2 addends × 256 codes,
-// the widest code MaxPackedBits = 8 bits can express. Unlike the
-// unpacked layout's interleaved (lower, upper) pairs, the packed layout
-// splits each dimension's row into halves — lower addends at [code],
-// upper addends at [packedBoundHalf + code] — so both loads use the
-// code register with native ×8 scaling and a constant displacement,
-// with no 2·code+1 address arithmetic per row.
+// packedBoundStride is the per-dimension stride of the bound table
+// loadWeightGroup gathers: 2 addends × 256 codes, the widest code
+// MaxPackedBits = 8 bits can express. Each dimension's row is split
+// into halves — lower addends at [code], upper addends at
+// [packedBoundHalf + code] — so both loads use the code register with
+// native ×8 scaling and a constant displacement, with no 2·code+1
+// address arithmetic per row.
 //
 // The stride and half being compile-time constants is what lets the
 // kernels below slice the table per dimension
@@ -75,115 +67,6 @@ const (
 const allCaseAfter = uint32(caseAfter) | uint32(caseAfter)<<8 |
 	uint32(caseAfter)<<16 | uint32(caseAfter)<<24
 
-// rankBoundedPacked is rankBounded's scan loop over the packed row
-// store. The caller has already charged the f_w(q) multiplication,
-// checked the dominator prefix against the cutoff and gathered the
-// weight group's bound columns into scratch.
-func (gr *GIR) rankBoundedPacked(w, q vec.Vector, fq float64, rnk, cutoff int, dom *domin, scratch *girScratch, c *stats.Counters) (int, bool) {
-	bnd := scratch.bounds
-	pk := gr.pk
-	words := pk.Words()
-	wpr := pk.WordsPerRow()
-	cpw := pk.CodesPerWord()
-	b := pk.BitsPerDim()
-	d := gr.pa.Dim()
-	classify4 := packedClassify4Func(b)
-	single := gr.pg.Single()
-	groupLive := dom.groupLive
-	nG := len(groupLive)
-	for g := 0; g < nG; {
-		// Gather the next RowBlock groups still live in scan order.
-		// Fully-dominated groups (every member a known dominator, counted
-		// into the initial rnk) are skipped before classification — the
-		// same per-group skip the unpacked loop gets — so the kernel only
-		// ever prices rows that need pricing. Liveness only decreases, so
-		// a group skipped here stays skipped; a group gathered here is
-		// re-checked at consume time below.
-		var gs [RowBlock]int32
-		cnt := 0
-		for ; g < nG && cnt < RowBlock; g++ {
-			if groupLive[g] != 0 {
-				gs[cnt] = int32(g)
-				cnt++
-			}
-		}
-		// cs4 == 0 marks "classify scalar" for a short tail gather: real
-		// case codes are 1..3 per byte, so a full block never packs to
-		// zero.
-		cs4 := uint32(0)
-		if cnt == RowBlock {
-			cs4 = classify4(words, int(gs[0])*wpr, int(gs[1])*wpr, int(gs[2])*wpr, int(gs[3])*wpr, d, bnd, fq)
-			// All four rows Case 2 is the scan's most common no-op block:
-			// q precedes every member, nothing counts, nothing refines.
-			// Without counters the whole block can be dropped on one
-			// compare instead of four unpredictable per-group branches.
-			if cs4 == allCaseAfter && c == nil {
-				continue
-			}
-		}
-		for t := 0; t < cnt; t, cs4 = t+1, cs4>>8 {
-			gi := int(gs[t])
-			live := int(groupLive[gi])
-			if live == 0 {
-				// Killed by a dominator observed since the gather — the
-				// unpacked loop, checking liveness at this group's turn,
-				// would skip it too.
-				continue
-			}
-			if c != nil {
-				c.BoundSums++
-				c.ApproxVisited++
-			}
-			cs := int32(cs4 & 0xff)
-			if cs == 0 {
-				cs = classifyPackedRow(words[gi*wpr:(gi+1)*wpr], cpw, b, d, bnd, fq)
-			}
-			// Consumption mirrors rankBounded's per-group logic exactly.
-			if cs == caseBefore { // Case 1: the whole group precedes q
-				rnk += live
-				if c != nil {
-					c.Filtered += int64(live)
-					c.Case1Filtered += int64(live)
-				}
-				if !gr.DisableDomin && dom.groupChecked[gi] < dom.groupSizes[gi] {
-					gr.observeGroup(gi, dom, q)
-				}
-				if rnk >= cutoff {
-					return cutoff, false
-				}
-				continue
-			}
-			if cs == caseRefine { // Case 3: refine with exact scores
-				if pj := int(single[gi]); pj >= 0 {
-					if c != nil {
-						c.PairwiseMults++
-						c.Refinements++
-						c.PointsVisited++
-					}
-					if vec.Dot(w, gr.pm.Row(pj)) < fq {
-						rnk++
-						if !gr.DisableDomin {
-							dom.observe(pj, gr.pm.Row(pj), q)
-						}
-						if rnk >= cutoff {
-							return cutoff, false
-						}
-					}
-					continue
-				}
-				var ok bool
-				if rnk, ok = gr.refineGroup(gi, w, q, fq, rnk, cutoff, dom, c); !ok {
-					return cutoff, false
-				}
-			} else if c != nil { // Case 2: q precedes the whole group
-				c.Filtered += int64(live)
-				c.Case2Filtered += int64(live)
-			}
-		}
-	}
-	return rnk, true
-}
-
 // packedCase maps one row's bound sums to its Section 3.1 case code.
 // Phrased as two conditional overwrites rather than an if/else chain so
 // the compiler lowers it to compare+CMOV: the case outcome is
@@ -200,34 +83,9 @@ func packedCase(l, u, fq float64) uint32 {
 	return c
 }
 
-// classifyRowSplit is classifyRow over an unpacked byte row but against
-// the packed split-halves table layout — the classifier rankBounded
-// uses when WithLayoutReference forces the unpacked path on a packed
-// index, whose scratch is gathered in the packed shape. Each sum adds
-// the same addend values in the same dimension order as classifyRow and
-// the width-specialized kernels, so reference answers stay
-// byte-identical.
-//
-//go:noinline
-func classifyRowSplit(row []uint8, bnd []float64, fq float64) int32 {
-	var u, l float64
-	off := 0
-	for _, pc := range row {
-		l += bnd[off+int(pc)]
-		u += bnd[off+packedBoundHalf+int(pc)]
-		off += packedBoundStride
-	}
-	if u < fq {
-		return caseBefore
-	}
-	if l <= fq {
-		return caseRefine
-	}
-	return caseAfter
-}
-
-// classifyPackedRow is classifyRow over one packed row — the scalar tail
-// kernel for the up-to-three groups past the last full block.
+// classifyPackedRow classifies one packed row — the scalar tail kernel
+// for the up-to-three live groups past the last full block. It adds the
+// same addends in the same order as the 4-row kernels.
 //
 //go:noinline
 func classifyPackedRow(row []uint64, cpw, b, d int, bnd []float64, fq float64) int32 {

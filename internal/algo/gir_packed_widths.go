@@ -1,7 +1,7 @@
 package algo
 
-// Width-specialized 4-row classify kernels, one per legal PackedBits
-// value. The five bodies are the same template stamped out with b as a
+// Width-specialized 4-row classify kernels, one per legal packed width
+// (PackedWidth maps grid sizes 1..256 onto 4..8). The five bodies are the same template stamped out with b as a
 // compile-time constant; only the shift/mask immediates and the
 // codes-per-word count differ. Keeping b constant is worth the
 // repetition: the generic kernel's variable shift pins the count in CL,
@@ -14,23 +14,23 @@ package algo
 // freed registers keep the whole loop state out of memory.
 //
 // The four rows are addressed by word offset (o0..o3), not as one
-// contiguous window: rankBoundedPacked gathers the next four *live*
-// groups, so rows of fully-dominated groups are never classified — the
-// same skip the unpacked loop gets per group. The offsets cost one int
-// add per word in the outer loop, nothing in the per-code loop.
+// contiguous window: rankBounded gathers the next four *live* groups, so
+// rows of fully-dominated groups are never classified. The offsets cost
+// one int add per word in the outer loop, nothing in the per-code loop.
 //
 // Template (see classifyPacked4B5 for the annotated copy):
 //
 //   - outer loop per word of the four rows, inner loop per code in the
-//     word (word-major, as in the generic kernels in gir_packed.go);
+//     word (word-major, as in classifyPackedRow in gir_packed.go);
 //   - codes index the packed split-halves bound table: lower addend at
 //     bj[k], upper at bj[packedBoundHalf+k];
 //   - one (lower, upper) accumulator pair per row, dimensions in row
-//     order, so sums are bit-identical to classifyRow's.
+//     order, so sums are bit-identical to the per-point reference's.
 //
 // packedClassify4Func selects the variant; TestGroupedVsReference
-// sweeps every width against the float64 reference, so all five bodies
-// are answer-checked, and scripts/check_bce.sh pins their
+// sweeps grid sizes deriving every width against the per-point
+// reference, so all five bodies are answer-checked, and
+// scripts/check_bce.sh pins their
 // bounds-check count (the table loads must stay provably in bounds).
 
 // packedClassify4Func returns the 4-row classify kernel for a packed

@@ -15,18 +15,23 @@ import (
 	"gridrank/internal/vec"
 )
 
-// Intra-query parallel execution of the GIR algorithms.
+// The GIR scan loops and their fan-out.
 //
-// The sequential GIR query scans W on one goroutine; batch.go only
-// parallelizes across queries, so a single large query (the paper's
-// market-analysis case) leaves all but one core idle. The parallel path
-// shards W across a worker pool: each worker claims contiguous chunks of
-// weight indexes from an atomic cursor and evaluates them with private
-// per-worker state — its own Domin buffer, bounds scratch and
-// stats.Counters — merged deterministically at the end.
+// Every query runs one scan loop per kind — scanTopK and scanKRanks
+// below. The loop claims chunks of POSITIONS in the cell-sorted visit
+// order and ranks each weight of the chunk with rankBounded, using the
+// caller's pooled state (Domin buffer, bound scratch, heap). At one
+// worker it runs on the calling goroutine with sh == nil: chunks are
+// claimed in sequence, and no goroutine, cursor or shared atomic exists.
+// Fanned out (workers > 1), each worker goroutine runs the same loop
+// with private state and stats.Counters, claiming chunks from the
+// atomic cursor of one scanShared; the coordinator merges the workers'
+// results deterministically at the end. batch.go parallelizes across
+// queries, so fanning out is for the single large query (the paper's
+// market-analysis case) that would otherwise leave cores idle.
 //
 // Two pieces of cross-worker pruning state keep the sharded scan as
-// effective as the sequential one:
+// effective as the inline one:
 //
 //   - RTK (Algorithm 2 lines 7–8): the global-dominator early exit needs
 //     the number of DISTINCT points known to dominate q across all
@@ -41,29 +46,29 @@ import (
 //     worker may prune any weight whose running rank exceeds T (cutoff
 //     T+1). The watermark is the CAS-minimum of all published T values.
 //
-// Determinism: results are bit-identical to the sequential path. Workers
-// claim chunks of POSITIONS in the cell-sorted visit order (the same
-// order the sequential scan uses, so both paths share the weight-group
-// scratch reuse); a worker's shard is therefore an arbitrary subsequence
-// of W by index, and every pruning cutoff — the local heap threshold as
-// well as the watermark — uses T+1, not T, so rank == T candidates,
-// which can still win (rank, index) ties, are always refined exactly.
-// The global answer is recovered by re-sorting the merged candidates on
-// the (rank, index) total order. See DESIGN.md §7 and §9.
+// Determinism: answers are bit-identical at every worker count. A
+// worker's shard is an arbitrary subsequence of W by index, and every
+// pruning cutoff — the local heap threshold as well as the watermark —
+// uses T+1, not T, so rank == T candidates, which can still win (rank,
+// index) ties, are always refined exactly. The global answer is
+// recovered by re-sorting the merged candidates on the (rank, index)
+// total order. See DESIGN.md §7 and §9.
 
-// normalizeWorkers resolves a worker-count request: non-positive means
-// GOMAXPROCS, and a query never uses more workers than weight vectors.
+// cancelChunk is the cancellation granularity of the scan: every loop
+// polls ctx before claiming its next chunk, and no chunk holds more than
+// cancelChunk weights. One chunk is the most work a cancelled query
+// performs per goroutine before returning, and at ~|P| operations per
+// weight it amortizes the poll to nothing.
+const cancelChunk = 1024
+
+// normalizeWorkers resolves a worker-count request: negative means
+// GOMAXPROCS, 0 means one, and a query never uses more workers than
+// weight vectors.
 func normalizeWorkers(workers, nW int) int {
-	if workers <= 0 {
+	if workers < 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > nW {
-		workers = nW
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	return workers
+	return max(1, min(workers, nW))
 }
 
 // parallelChunk sizes the unit of work workers claim from the shared
@@ -72,14 +77,116 @@ func normalizeWorkers(workers, nW int) int {
 // The cancelChunk ceiling bounds how much work a worker performs between
 // context polls, so a cancelled query stops within one chunk.
 func parallelChunk(nW, workers int) int {
-	chunk := nW / (8 * workers)
-	if chunk < 16 {
-		chunk = 16
+	return min(max(nW/(8*workers), 16), cancelChunk)
+}
+
+// scanShared is the cross-worker state of one fanned-out scan: the chunk
+// cursor and whichever pruning state the query kind shares. The inline
+// scan passes a nil *scanShared, and every method below has its
+// one-worker meaning on nil.
+type scanShared struct {
+	cursor atomic.Int64
+	chunk  int
+	dom    *sharedDomin   // RTK: distinct dominators across workers
+	wm     *rankWatermark // RKR: the shared admission bound
+}
+
+// claim returns the next chunk [start, end) of visit positions out of
+// n, or ok = false once the order is exhausted or ctx is done. ctx is
+// polled before every claim except the inline scan's first, which
+// directly follows the entrypoint's own check; a worker starts later, so
+// it polls before its first claim too. next is the inline scan's
+// private cursor.
+func (sh *scanShared) claim(ctx context.Context, next *int, n int) (start, end int, ok bool) {
+	if (sh != nil || *next > 0) && ctx.Done() != nil && ctx.Err() != nil {
+		return 0, 0, false
 	}
-	if chunk > cancelChunk {
-		chunk = cancelChunk
+	chunk := cancelChunk
+	if sh == nil {
+		start = *next
+		*next += chunk
+	} else {
+		chunk = sh.chunk
+		start = int(sh.cursor.Add(int64(chunk))) - chunk
 	}
-	return chunk
+	return start, min(start+chunk, n), start < n
+}
+
+// dominators is the number of distinct points known to dominate q: the
+// worker's own exact count inline, the deduplicated global count when
+// fanned out.
+func (sh *scanShared) dominators(dom *domin) int {
+	if sh == nil {
+		return dom.count
+	}
+	return int(sh.dom.count.Load())
+}
+
+// cutoff is the rank bound for the next weight: the local heap's
+// admission cutoff, tightened by the watermark when fanned out.
+func (sh *scanShared) cutoff(h *topk.KRankHeap) int {
+	local := admitCutoff(h)
+	if sh == nil {
+		return local
+	}
+	return sh.wm.cutoff(local)
+}
+
+// scanTopK is the GIRTop-k scan loop (Algorithm 2): it ranks every
+// weight of each claimed chunk against cutoff k, collecting the admitted
+// weights into st.res, until the order is exhausted, k distinct
+// dominators prove the answer empty, or ctx is done. It returns how many
+// weights it ranked.
+func (gr *GIR) scanTopK(ctx context.Context, q vec.Vector, k int, st *queryState, sh *scanShared, c *stats.Counters) (scanned int) {
+	order := gr.wg.MemberOrder()
+	for next := 0; ; {
+		if sh.dominators(st.dom) >= k {
+			return scanned
+		}
+		start, end, ok := sh.claim(ctx, &next, len(order))
+		if !ok {
+			return scanned
+		}
+		for oi, wi := range order[start:end] {
+			if _, ok := gr.rankBounded(int(wi), q, k, st.dom, st.scratch, c); ok {
+				st.res = append(st.res, int(wi))
+			}
+			if sh.dominators(st.dom) >= k {
+				return scanned + oi + 1
+			}
+		}
+		scanned += end - start
+	}
+}
+
+// scanKRanks is the GIRk-Rank scan loop (Algorithm 3): it offers every
+// weight of each claimed chunk whose rank beats the current cutoff to
+// st.heap (reset by the caller), until the order is exhausted or ctx is
+// done. It returns how many weights it ranked and how many the heap
+// admitted.
+func (gr *GIR) scanKRanks(ctx context.Context, q vec.Vector, st *queryState, sh *scanShared, c *stats.Counters) (scanned, admits int) {
+	order := gr.wg.MemberOrder()
+	h := st.heap
+	for next := 0; ; {
+		start, end, ok := sh.claim(ctx, &next, len(order))
+		if !ok {
+			return scanned, admits
+		}
+		for _, wi := range order[start:end] {
+			// The visit order is not ascending by weight index, so even
+			// the local threshold must admit rank == T ties: T+1, same as
+			// the watermark rule.
+			if rnk, ok := gr.rankBounded(int(wi), q, sh.cutoff(h), st.dom, st.scratch, c); ok {
+				if h.Offer(topk.Match{WeightIndex: int(wi), Rank: rnk}) {
+					admits++
+					if sh != nil {
+						sh.wm.tighten(h.Threshold())
+					}
+				}
+			}
+		}
+		scanned += end - start
+	}
 }
 
 // sharedDomin tracks the distinct dominators of q discovered by any
@@ -125,7 +232,8 @@ func newRankWatermark() *rankWatermark {
 	return wm
 }
 
-// tighten lowers the watermark to t if t is smaller.
+// tighten lowers the watermark to t if t is smaller. A heap that is not
+// yet full reports threshold maxInt, which never tightens.
 func (wm *rankWatermark) tighten(t int) {
 	for {
 		cur := wm.v.Load()
@@ -150,229 +258,99 @@ func (wm *rankWatermark) cutoff(local int) int {
 	return local
 }
 
-// reverseTopKParallel is GIRTop-k (Algorithm 2) sharded over workers
-// goroutines. Callers guarantee workers >= 2, k >= 1 and a live ctx on
-// entry. Workers poll ctx between chunk claims (chunks are capped at
-// cancelChunk weights), so cancellation stops every worker within one
-// chunk; the coordinator then joins them all and returns ctx.Err() —
-// cancellation never leaks a goroutine.
-// layoutLabel names the scan layout for profiler labels.
-func (gr *GIR) layoutLabel() string {
-	if gr.pk != nil {
-		return "packed"
-	}
-	return "float64"
-}
-
 // scanLabels builds the pprof label set stamped on every scan worker
 // goroutine, so a goroutine or CPU profile taken during an incident
 // attributes worker time to the query kind, its k and the index layout
 // (go tool pprof -tagfocus rrq_query=reverse_topk ...).
-func (gr *GIR) scanLabels(kind string, k int) pprof.LabelSet {
+func scanLabels(kind string, k int) pprof.LabelSet {
 	return pprof.Labels(
 		"rrq_query", kind,
 		"rrq_k", strconv.Itoa(k),
-		"rrq_layout", gr.layoutLabel(),
+		"rrq_layout", "packed",
 	)
 }
 
-func (gr *GIR) reverseTopKParallel(ctx context.Context, q vec.Vector, k, workers int, c *stats.Counters, tr *trace.Trace, ref bool) ([]int, error) {
-	shared := newSharedDomin(gr.pm.Len())
-	var cursor atomic.Int64
-	chunk := parallelChunk(gr.wm.Len(), workers)
-	done := ctx.Done()
-	sp := tr.StartSpan("scan")
+// fanOut runs scan on workers goroutines and waits for all of them.
+// Each worker is pprof-labelled, owns a pooled query state and a private
+// counter set, and records a scan.worker child of sp with its breakdown
+// and the number of weights it ranked (scan's return value). It returns
+// the workers' counters, in worker order.
+func (gr *GIR) fanOut(ctx context.Context, workers int, kind string, k int, sp *trace.Span, scan func(w int, st *queryState, c *stats.Counters) int) []stats.Counters {
 	sp.SetInt("workers", int64(workers))
-	type workerOut struct {
-		res []int
-		c   stats.Counters
-	}
-	outs := make([]workerOut, workers)
-	lbls := gr.scanLabels("reverse_topk", k)
+	cs := make([]stats.Counters, workers)
+	lbls := scanLabels(kind, k)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := range cs {
 		wg.Add(1)
-		go func(widx int, out *workerOut) {
+		go func(w int) {
 			defer wg.Done()
 			pprof.SetGoroutineLabels(pprof.WithLabels(ctx, lbls))
 			wsp := sp.Child("scan.worker")
-			wsp.SetInt("worker", int64(widx))
-			scanned := 0
-			defer func() { endWorkerSpan(wsp, &out.c, scanned) }()
+			wsp.SetInt("worker", int64(w))
 			st := gr.getState()
-			defer gr.putState(st)
-			st.dom.shared = shared
-			st.scratch.ref = ref
-			order := gr.wg.MemberOrder()
-			for {
-				if shared.count.Load() >= int64(k) {
-					return
-				}
-				if done != nil && ctx.Err() != nil {
-					return
-				}
-				end := int(cursor.Add(int64(chunk)))
-				start := end - chunk
-				if start >= len(order) {
-					return
-				}
-				if end > len(order) {
-					end = len(order)
-				}
-				for oi, wi := range order[start:end] {
-					if _, ok := gr.rankBounded(int(wi), q, k, st.dom, st.scratch, &out.c); ok {
-						out.res = append(out.res, int(wi))
-					}
-					if shared.count.Load() >= int64(k) {
-						scanned += oi + 1
-						return
-					}
-				}
-				scanned += end - start
-			}
-		}(w, &outs[w])
+			scanned := scan(w, st, &cs[w])
+			gr.putState(st)
+			wsp.SetInt("weights_scanned", int64(scanned))
+			endScanSpan(wsp, &cs[w], stats.Counters{}, -1, -1, -1)
+		}(w)
 	}
 	wg.Wait()
-	base := counterBaseline(sp, c)
-	if c != nil {
-		for w := range outs {
-			c.Add(&outs[w].c)
-		}
-	} else if sp != nil {
-		// The span still wants the merged breakdown; fold into a local.
-		c = new(stats.Counters)
-		for w := range outs {
-			c.Add(&outs[w].c)
-		}
-	}
-	dominators := int(shared.count.Load())
-	endScanSpan(sp, c, base, dominators, k, gr.wm.Len())
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	// Algorithm 2 lines 7–8, sharded: k distinct dominators imply every
-	// weight ranks q at k or worse, so the answer is empty — exactly what
-	// the sequential early exit returns.
-	if dominators >= k {
-		return nil, nil
-	}
-	msp := tr.StartSpan("merge")
-	var res []int
-	for w := range outs {
-		res = append(res, outs[w].res...)
-	}
-	sort.Ints(res)
-	msp.SetInt("results", int64(len(res))).End()
-	return res, nil
+	return cs
 }
 
-// endWorkerSpan closes one scan.worker span with the worker's private
-// counter breakdown and how many weights it claimed. Free when tracing
-// is off (nil span).
-func endWorkerSpan(wsp *trace.Span, c *stats.Counters, scanned int) {
-	if wsp == nil {
-		return
-	}
-	wsp.SetInt("weights_scanned", int64(scanned))
-	endScanSpan(wsp, c, stats.Counters{}, -1, -1, -1)
-}
-
-// reverseKRanksParallel is GIRk-Rank (Algorithm 3) sharded over workers
-// goroutines. Callers guarantee workers >= 2, k >= 1 and a live ctx on
-// entry; the cancellation contract matches reverseTopKParallel.
-func (gr *GIR) reverseKRanksParallel(ctx context.Context, q vec.Vector, k, workers int, c *stats.Counters, tr *trace.Trace, ref bool) ([]topk.Match, error) {
-	wm := newRankWatermark()
-	var cursor atomic.Int64
-	chunk := parallelChunk(gr.wm.Len(), workers)
-	done := ctx.Done()
-	sp := tr.StartSpan("scan")
-	sp.SetInt("workers", int64(workers))
-	type workerOut struct {
-		matches []topk.Match
-		c       stats.Counters
-	}
-	outs := make([]workerOut, workers)
-	lbls := gr.scanLabels("reverse_kranks", k)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(widx int, out *workerOut) {
-			defer wg.Done()
-			pprof.SetGoroutineLabels(pprof.WithLabels(ctx, lbls))
-			wsp := sp.Child("scan.worker")
-			wsp.SetInt("worker", int64(widx))
-			scanned := 0
-			defer func() { endWorkerSpan(wsp, &out.c, scanned) }()
-			st := gr.getState()
-			defer gr.putState(st)
-			st.scratch.ref = ref
-			h := st.heap
-			h.Reset(k)
-			order := gr.wg.MemberOrder()
-			for {
-				if done != nil && ctx.Err() != nil {
-					break
-				}
-				end := int(cursor.Add(int64(chunk)))
-				start := end - chunk
-				if start >= len(order) {
-					break
-				}
-				if end > len(order) {
-					end = len(order)
-				}
-				for _, wi := range order[start:end] {
-					// The shard is not ascending by weight index, so even
-					// the local threshold must admit rank == T ties: T+1,
-					// same as the watermark rule.
-					cutoff := wm.cutoff(admitCutoff(h))
-					if rnk, ok := gr.rankBounded(int(wi), q, cutoff, st.dom, st.scratch, &out.c); ok {
-						if h.Offer(topk.Match{WeightIndex: int(wi), Rank: rnk}) && h.Len() == k {
-							wm.tighten(h.Threshold())
-						}
-					}
-				}
-				scanned += end - start
-			}
-			out.matches = h.Results()
-		}(w, &outs[w])
-	}
-	wg.Wait()
-	base := counterBaseline(sp, c)
-	counters := make([]*stats.Counters, workers)
-	var all []topk.Match
-	for w := range outs {
-		counters[w] = &outs[w].c
-		all = append(all, outs[w].matches...)
-	}
-	if c == nil && sp != nil {
-		c = new(stats.Counters)
-	}
-	if c != nil {
-		stats.Merge(c, counters...)
-	}
-	if sp != nil {
-		sp.SetInt("cutoff_final", cutoffAttr(int(wm.v.Load())))
-	}
-	endScanSpan(sp, c, base, -1, -1, gr.wm.Len())
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	msp := tr.StartSpan("merge")
-	// Every global top-k match survives some worker's local heap (a
-	// worker's heap keeps its shard's k best, a superset of the shard's
-	// contribution to the global answer), so sorting the union on the
-	// sequential (rank, index) order and truncating reproduces the
-	// sequential answer exactly.
-	sort.Slice(all, func(a, b int) bool {
-		if all[a].Rank != all[b].Rank {
-			return all[a].Rank < all[b].Rank
-		}
-		return all[a].WeightIndex < all[b].WeightIndex
+// reverseTopKFanOut shards GIRTop-k over workers goroutines and returns
+// the union of their admitted weights (unsorted) with the global
+// dominator count. The workers' counters are merged into c when non-nil.
+func (gr *GIR) reverseTopKFanOut(ctx context.Context, q vec.Vector, k, workers int, sp *trace.Span, c *stats.Counters) ([]int, int) {
+	sh := &scanShared{chunk: parallelChunk(gr.wm.Len(), workers), dom: newSharedDomin(gr.pm.Len())}
+	parts := make([][]int, workers)
+	cs := gr.fanOut(ctx, workers, "reverse_topk", k, sp, func(w int, st *queryState, wc *stats.Counters) int {
+		st.dom.shared = sh.dom
+		scanned := gr.scanTopK(ctx, q, k, st, sh, wc)
+		parts[w] = append([]int(nil), st.res...)
+		return scanned
 	})
-	if len(all) > k {
-		all = all[:k]
+	var res []int
+	for w := range parts {
+		res = append(res, parts[w]...)
 	}
-	msp.SetInt("results", int64(len(all))).End()
-	return all, nil
+	stats.Merge(c, cs)
+	return res, int(sh.dom.count.Load())
+}
+
+// reverseKRanksFanOut shards GIRk-Rank over workers goroutines and
+// returns the union of the workers' local answers for mergeKRanks. The
+// workers' counters are merged into c when non-nil.
+func (gr *GIR) reverseKRanksFanOut(ctx context.Context, q vec.Vector, k, workers int, sp *trace.Span, c *stats.Counters) []topk.Match {
+	sh := &scanShared{chunk: parallelChunk(gr.wm.Len(), workers), wm: newRankWatermark()}
+	parts := make([][]topk.Match, workers)
+	cs := gr.fanOut(ctx, workers, "reverse_kranks", k, sp, func(w int, st *queryState, wc *stats.Counters) int {
+		st.heap.Reset(k)
+		scanned, _ := gr.scanKRanks(ctx, q, st, sh, wc)
+		parts[w] = st.heap.Results()
+		return scanned
+	})
+	stats.Merge(c, cs)
+	sp.SetInt("cutoff_final", cutoffAttr(int(sh.wm.v.Load())))
+	var union []topk.Match
+	for w := range parts {
+		union = append(union, parts[w]...)
+	}
+	return union
+}
+
+// mergeKRanks reduces the union of the workers' local answers to the
+// global one. Every global top-k match survives some worker's local heap
+// (a worker's heap keeps its shard's k best, a superset of the shard's
+// contribution to the global answer), so sorting the union on the
+// (rank, index) order and truncating reproduces the inline answer
+// exactly.
+func mergeKRanks(union []topk.Match, k int) []topk.Match {
+	sort.Slice(union, func(a, b int) bool {
+		if union[a].Rank != union[b].Rank {
+			return union[a].Rank < union[b].Rank
+		}
+		return union[a].WeightIndex < union[b].WeightIndex
+	})
+	return union[:min(k, len(union))]
 }

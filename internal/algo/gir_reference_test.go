@@ -1,7 +1,6 @@
 package algo
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -129,21 +128,32 @@ func catalogSet(rng *rand.Rand, base []vec.Vector, n int) []vec.Vector {
 	return out
 }
 
-// TestGroupedVsReference cross-validates grouped GIR (sequential and at
+// TestGroupedVsReference cross-validates grouped GIR (inline and at
 // workers 2, 4, 8) against the embedded pre-grouping reference and brute
-// force across 50+ datasets: UN/CL/AC/NO products × UN/CL/EX weights,
-// d ∈ 2..10, grid resolutions down to n=1 (every point in one cell), and
-// duplicate-heavy catalog-sampled sets. Answers must be identical
-// element for element everywhere. Run under -race in CI.
+// force across 60+ datasets: UN/CL/AC/NO products × UN/CL/EX weights,
+// d ∈ 2..10, grid resolutions from n=1 (every point in one cell) to
+// n=256, and duplicate-heavy catalog-sampled sets. The grid sizes derive
+// every packed width — 4 (n ≤ 16), 5 (32), 6 (64), 7 (128) and 8 (256)
+// — so each width-specialized kernel stays under the oracle. Answers
+// must be identical element for element everywhere. Run under -race in
+// CI.
 func TestGroupedVsReference(t *testing.T) {
-	ctx := context.Background()
-	datasets := 56
+	datasets, wide := 56, 9
 	if testing.Short() {
-		datasets = 18
+		datasets, wide = 18, 6
 	}
 	pdists := []dataset.Distribution{dataset.Uniform, dataset.Clustered, dataset.AntiCorrelated, dataset.Normal}
 	wdists := []dataset.Distribution{dataset.Uniform, dataset.Clustered, dataset.Exponential}
+	// Datasets 56 and up are the wide grids, numbered past the full run's
+	// coarse ones in every mode so each name always means one dataset.
+	indexes := make([]int, 0, datasets+wide)
 	for i := 0; i < datasets; i++ {
+		indexes = append(indexes, i)
+	}
+	for i := 0; i < wide; i++ {
+		indexes = append(indexes, 56+i)
+	}
+	for _, i := range indexes {
 		rng := rand.New(rand.NewSource(int64(7000 + i)))
 		pd := pdists[i%len(pdists)]
 		wd := wdists[i%len(wdists)]
@@ -151,7 +161,10 @@ func TestGroupedVsReference(t *testing.T) {
 		nP := 30 + rng.Intn(150)            // 30..179
 		nW := 25 + rng.Intn(120)            // 25..144
 		n := []int{1, 2, 4, 8, 16, 32}[i%6] // coarse grids maximize grouping
-		dup := i%3 == 0                     // every third dataset is catalog-sampled
+		if i >= 56 {
+			n = []int{64, 128, 256}[i%3]
+		}
+		dup := i%3 == 0 // every third dataset is catalog-sampled
 		name := fmt.Sprintf("%02d-%s-%s-d%d-P%d-W%d-n%d-dup%v", i, pd, wd, d, nP, nW, n, dup)
 		t.Run(name, func(t *testing.T) {
 			P := dataset.GenerateProducts(rng, pd, nP, d, dataset.DefaultRange)
@@ -165,15 +178,8 @@ func TestGroupedVsReference(t *testing.T) {
 			}
 			brute := NewBrute(points, weights)
 			gir := NewGIR(points, weights, P.Range, n)
-			ref := NewGIR(points, weights, P.Range, n)
-			// Packed layouts at every width that can encode this grid's
-			// cells; their answers (and sequential counters) must be
-			// byte-identical to the unpacked index at every worker count.
-			var packed []*GIR
-			for _, b := range []int{4, 5, 6, 8} {
-				if 1<<b >= n {
-					packed = append(packed, NewGIRLayout(points, weights, P.Range, n, Layout{PackedBits: b}))
-				}
+			if b := gir.PackedBits(); b != PackedWidth(n) {
+				t.Fatalf("n=%d: packed width %d, want %d", n, b, PackedWidth(n))
 			}
 			for qi := 0; qi < 2; qi++ {
 				var q vec.Vector
@@ -186,8 +192,8 @@ func TestGroupedVsReference(t *testing.T) {
 					}
 				}
 				for _, k := range []int{1, 5, nW} {
-					wantRTK := refReverseTopK(ref, q, k)
-					wantRKR := refReverseKRanks(ref, q, k)
+					wantRTK := refReverseTopK(gir, q, k)
+					wantRKR := refReverseKRanks(gir, q, k)
 					// The reference must itself agree with brute force,
 					// otherwise it proves nothing.
 					if b := brute.ReverseTopK(q, k, nil); !equalInts(wantRTK, b) {
@@ -197,43 +203,20 @@ func TestGroupedVsReference(t *testing.T) {
 						t.Fatalf("reference RKR k=%d disagrees with brute: got %+v want %+v", k, wantRKR, b)
 					}
 					for _, workers := range []int{1, 2, 4, 8} {
-						gotRTK := gir.ReverseTopKParallel(q, k, workers, nil)
+						gotRTK := rtkAt(gir, q, k, workers, nil)
 						if !equalInts(gotRTK, wantRTK) {
 							t.Fatalf("grouped RTK k=%d workers=%d: got %v want %v", k, workers, gotRTK, wantRTK)
 						}
-						gotRKR := gir.ReverseKRanksParallel(q, k, workers, nil)
+						gotRKR := rkrAt(gir, q, k, workers, nil)
 						if !equalMatches(gotRKR, wantRKR) {
 							t.Fatalf("grouped RKR k=%d workers=%d: got %+v want %+v", k, workers, gotRKR, wantRKR)
 						}
 					}
-					for _, pgir := range packed {
-						b := pgir.PackedBits()
-						for _, workers := range []int{1, 2, 4, 8} {
-							gotRTK, err := pgir.ReverseTopKOpts(ctx, q, k, QueryOpts{Workers: workers})
-							if err != nil || !equalInts(gotRTK, wantRTK) {
-								t.Fatalf("packed b=%d RTK k=%d workers=%d: got %v (err %v) want %v", b, k, workers, gotRTK, err, wantRTK)
-							}
-							gotRKR, err := pgir.ReverseKRanksOpts(ctx, q, k, QueryOpts{Workers: workers})
-							if err != nil || !equalMatches(gotRKR, wantRKR) {
-								t.Fatalf("packed b=%d RKR k=%d workers=%d: got %+v (err %v) want %+v", b, k, workers, gotRKR, err, wantRKR)
-							}
-						}
-						// The Reference option must route the packed index
-						// through the unpacked float64 path — identical
-						// answers AND identical sequential counters, since
-						// the packed loop mirrors the unpacked one's
-						// bookkeeping exactly.
-						var cu, cp, cr stats.Counters
-						wantU := gir.ReverseTopKParallel(q, k, 1, &cu)
-						gotP, _ := pgir.ReverseTopKOpts(ctx, q, k, QueryOpts{Workers: 1, Counters: &cp})
-						gotR, _ := pgir.ReverseTopKOpts(ctx, q, k, QueryOpts{Workers: 1, Counters: &cr, Reference: true})
-						if !equalInts(gotP, wantU) || !equalInts(gotR, wantU) {
-							t.Fatalf("packed b=%d RTK k=%d: packed %v reference %v want %v", b, k, gotP, gotR, wantU)
-						}
-						if cp != cu || cr != cu {
-							t.Fatalf("packed b=%d RTK k=%d: counters diverge\nunpacked:  %+v\npacked:    %+v\nreference: %+v", b, k, cu, cp, cr)
-						}
-					}
+					// The inline scan's counters must describe a
+					// consistent per-group breakdown at every width.
+					var c stats.Counters
+					rtkAt(gir, q, k, 1, &c)
+					checkStatsInvariants(t, &c)
 				}
 			}
 		})

@@ -70,7 +70,7 @@ func TestSequentialScanSpans(t *testing.T) {
 
 	var c stats.Counters
 	_, spans := traceSpans(t, func(tr *trace.Trace) {
-		if _, err := gir.ReverseKRanksTraced(ctx, q, 5, 1, &c, tr); err != nil {
+		if _, err := gir.ReverseKRanksOpts(ctx, q, 5, QueryOpts{Workers: 1, Counters: &c, Trace: tr}); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -94,7 +94,7 @@ func TestSequentialScanSpans(t *testing.T) {
 	// RTK: dominator count and fixed cutoff.
 	c.Reset()
 	_, spans = traceSpans(t, func(tr *trace.Trace) {
-		if _, err := gir.ReverseTopKTraced(ctx, q, 50, 1, &c, tr); err != nil {
+		if _, err := gir.ReverseTopKOpts(ctx, q, 50, QueryOpts{Workers: 1, Counters: &c, Trace: tr}); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -120,7 +120,7 @@ func TestTracedCountersWithoutStats(t *testing.T) {
 	ctx := context.Background()
 	for _, workers := range []int{1, 3} {
 		_, spans := traceSpans(t, func(tr *trace.Trace) {
-			if _, err := gir.ReverseKRanksTraced(ctx, q, 5, workers, nil, tr); err != nil {
+			if _, err := gir.ReverseKRanksOpts(ctx, q, 5, QueryOpts{Workers: workers, Trace: tr}); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -140,7 +140,7 @@ func TestParallelScanSpans(t *testing.T) {
 
 	var c stats.Counters
 	td, spans := traceSpans(t, func(tr *trace.Trace) {
-		if _, err := gir.ReverseKRanksTraced(ctx, q, 5, workers, &c, tr); err != nil {
+		if _, err := gir.ReverseKRanksOpts(ctx, q, 5, QueryOpts{Workers: workers, Counters: &c, Trace: tr}); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -181,7 +181,7 @@ func TestParallelScanSpans(t *testing.T) {
 	// Parallel RTK spans, including the shared dominator count.
 	c.Reset()
 	_, spans = traceSpans(t, func(tr *trace.Trace) {
-		if _, err := gir.ReverseTopKTraced(ctx, q, 50, workers, &c, tr); err != nil {
+		if _, err := gir.ReverseTopKOpts(ctx, q, 50, QueryOpts{Workers: workers, Counters: &c, Trace: tr}); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -204,12 +204,12 @@ func TestTracedMatchesUntraced(t *testing.T) {
 		for qi := 0; qi < 10; qi++ {
 			q := gir.Point(qi * 7)
 			tr := tc.Start("q", trace.Parent{})
-			traced, err := gir.ReverseKRanksTraced(ctx, q, 5, workers, nil, tr)
+			traced, err := gir.ReverseKRanksOpts(ctx, q, 5, QueryOpts{Workers: workers, Trace: tr})
 			tr.Finish()
 			if err != nil {
 				t.Fatal(err)
 			}
-			plain, err := gir.ReverseKRanksCtx(ctx, q, 5, workers, nil)
+			plain, err := gir.ReverseKRanksOpts(ctx, q, 5, QueryOpts{Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -3,9 +3,8 @@ package algo
 // Microbenchmarks for the classify kernels in isolation. The macro
 // ReverseKRanks benchmarks (root package) price the whole scan and are
 // noisy on shared machines; these loop one kernel over a resident row
-// store and a resident bound table, so the ns/row ratio between the
-// packed and unpacked kernels is stable enough to steer kernel work.
-// The sink defeats dead-code elimination.
+// store and a resident bound table, so the ns/row figure is stable
+// enough to steer kernel work. The sink defeats dead-code elimination.
 
 import (
 	"math/rand"
@@ -16,9 +15,9 @@ import (
 
 var kernelSink int32
 
-func kernelFixture(nRows, d, n, b, stride int) (rowsU8 []uint8, pk *bits.PackedRows, bnd []float64, fq float64) {
+func kernelFixture(nRows, d, n, b, stride int) (pk *bits.PackedRows, bnd []float64, fq float64) {
 	rng := rand.New(rand.NewSource(7))
-	rowsU8 = make([]uint8, nRows*d)
+	rowsU8 := make([]uint8, nRows*d)
 	for i := range rowsU8 {
 		rowsU8[i] = uint8(rng.Intn(n))
 	}
@@ -33,25 +32,12 @@ func kernelFixture(nRows, d, n, b, stride int) (rowsU8 []uint8, pk *bits.PackedR
 	// A mid-range threshold so all three cases occur and the final
 	// compares stay unpredictable, as in a real scan.
 	fq = float64(d) * 0.5
-	return rowsU8, pk, bnd, fq
-}
-
-func benchClassifyUnpacked(b *testing.B, d int) {
-	const nRows, n = 4096, 32
-	rows, _, bnd, fq := kernelFixture(nRows, d, n, 5, 2*n)
-	b.SetBytes(int64(d)) // codes classified per op-row
-	b.ResetTimer()
-	var s int32
-	for i := 0; i < b.N; i++ {
-		base := (i % nRows) * d
-		s += classifyRow(rows[base:base+d], bnd, 2*n, fq)
-	}
-	kernelSink = s
+	return pk, bnd, fq
 }
 
 func benchClassifyPacked4(b *testing.B, d, pb int) {
 	const nRows, n = 4096, 32
-	_, pk, bnd, fq := kernelFixture(nRows, d, n, pb, packedBoundStride)
+	pk, bnd, fq := kernelFixture(nRows, d, n, pb, packedBoundStride)
 	words := pk.Words()
 	wpr := pk.WordsPerRow()
 	classify4 := packedClassify4Func(pb)
@@ -65,7 +51,5 @@ func benchClassifyPacked4(b *testing.B, d, pb int) {
 	kernelSink = int32(s)
 }
 
-func BenchmarkClassifyRowD6(b *testing.B)      { benchClassifyUnpacked(b, 6) }
-func BenchmarkClassifyRowD16(b *testing.B)     { benchClassifyUnpacked(b, 16) }
 func BenchmarkClassifyPacked4D6(b *testing.B)  { benchClassifyPacked4(b, 6, 5) }
 func BenchmarkClassifyPacked4D16(b *testing.B) { benchClassifyPacked4(b, 16, 5) }

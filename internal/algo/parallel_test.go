@@ -1,17 +1,31 @@
 package algo
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
 
 	"gridrank/internal/dataset"
 	"gridrank/internal/stats"
+	"gridrank/internal/topk"
 	"gridrank/internal/vec"
 )
 
 // parallelWorkerCounts are the intra-query pool sizes the tests sweep.
 var parallelWorkerCounts = []int{2, 4, 8}
+
+// rtkAt and rkrAt run a query at an explicit worker count under a
+// background context — test shorthand for the Opts entrypoints.
+func rtkAt(gr *GIR, q vec.Vector, k, workers int, c *stats.Counters) []int {
+	res, _ := gr.ReverseTopKOpts(context.Background(), q, k, QueryOpts{Workers: workers, Counters: c})
+	return res
+}
+
+func rkrAt(gr *GIR, q vec.Vector, k, workers int, c *stats.Counters) []topk.Match {
+	res, _ := gr.ReverseKRanksOpts(context.Background(), q, k, QueryOpts{Workers: workers, Counters: c})
+	return res
+}
 
 // TestParallelCrossValidation is the race-proving property test of the
 // parallel execution path: across 50+ randomized datasets (dimensions,
@@ -64,13 +78,13 @@ func TestParallelCrossValidation(t *testing.T) {
 					}
 					for _, workers := range parallelWorkerCounts {
 						var c stats.Counters
-						got := gir.ReverseTopKParallel(q, k, workers, &c)
+						got := rtkAt(gir, q, k, workers, &c)
 						if !equalInts(got, wantRTK) {
 							t.Fatalf("parallel RTK k=%d workers=%d: got %v want %v", k, workers, got, wantRTK)
 						}
 						checkStatsInvariants(t, &c)
 						c.Reset()
-						gotKR := gir.ReverseKRanksParallel(q, k, workers, &c)
+						gotKR := rkrAt(gir, q, k, workers, &c)
 						if !equalMatches(gotKR, wantRKR) {
 							t.Fatalf("parallel RKR k=%d workers=%d: got %+v want %+v", k, workers, gotKR, wantRKR)
 						}
@@ -124,7 +138,7 @@ func TestParallelDominShortCircuit(t *testing.T) {
 	}
 	for _, workers := range parallelWorkerCounts {
 		var c stats.Counters
-		if got := gir.ReverseTopKParallel(q, 5, workers, &c); len(got) != 0 {
+		if got := rtkAt(gir, q, 5, workers, &c); len(got) != 0 {
 			t.Fatalf("workers=%d: corner query RTK = %v, want empty", workers, got)
 		}
 		// The early exit must keep the parallel scan within a small
@@ -149,7 +163,7 @@ func TestParallelWatermarkPruning(t *testing.T) {
 	q := P.Points[3]
 	var cSeq, cPar, cNone stats.Counters
 	want := gir.ReverseKRanks(q, 10, &cSeq)
-	got := gir.ReverseKRanksParallel(q, 10, 4, &cPar)
+	got := rkrAt(gir, q, 10, 4, &cPar)
 	if !equalMatches(got, want) {
 		t.Fatalf("parallel RKR disagrees: got %+v want %+v", got, want)
 	}
@@ -217,7 +231,7 @@ func TestRankWatermark(t *testing.T) {
 
 // TestParallelEdgeCases mirrors the sequential edge cases on the
 // parallel path: tiny W, k larger than both sets, worker counts beyond
-// |W|, and the Parallelism field dispatch.
+// |W|, and the negative (GOMAXPROCS) worker count.
 func TestParallelEdgeCases(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	P := dataset.GenerateProducts(rng, dataset.Uniform, 60, 3, 100)
@@ -229,21 +243,19 @@ func TestParallelEdgeCases(t *testing.T) {
 		t.Fatalf("want all 5 weights, got %d", len(want))
 	}
 	for _, workers := range []int{2, 7, 64} {
-		if got := gir.ReverseKRanksParallel(q, 9, workers, nil); !equalMatches(got, want) {
+		if got := rkrAt(gir, q, 9, workers, nil); !equalMatches(got, want) {
 			t.Errorf("workers=%d k>|W|: got %+v want %+v", workers, got, want)
 		}
 	}
-	if got := gir.ReverseTopKParallel(q, 0, 4, nil); got != nil {
+	if got := rtkAt(gir, q, 0, 4, nil); got != nil {
 		t.Errorf("k=0 parallel RTK should return nil, got %v", got)
 	}
-	if got := gir.ReverseKRanksParallel(q, -3, 4, nil); got != nil {
+	if got := rkrAt(gir, q, -3, 4, nil); got != nil {
 		t.Errorf("negative k parallel RKR should return nil, got %v", got)
 	}
-	// The Parallelism field routes the plain methods through the pool.
+	// A negative worker count means GOMAXPROCS.
 	seqRTK := gir.ReverseTopK(q, 3, nil)
-	gir.Parallelism = 4
-	defer func() { gir.Parallelism = 0 }()
-	if got := gir.ReverseTopK(q, 3, nil); !equalInts(got, seqRTK) {
-		t.Errorf("Parallelism=4 dispatch: got %v want %v", got, seqRTK)
+	if got := rtkAt(gir, q, 3, -1, nil); !equalInts(got, seqRTK) {
+		t.Errorf("GOMAXPROCS workers: got %v want %v", got, seqRTK)
 	}
 }

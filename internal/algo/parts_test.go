@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"gridrank/internal/grid"
 	"gridrank/internal/vec"
 )
 
@@ -56,41 +57,41 @@ func answersEqual(t *testing.T, want, got *GIR, label string) {
 
 // TestGIRFromPartsEquivalence reassembles a GIR from the artifacts a
 // built one exposes — exactly what the GRI3 readers do — and checks the
-// result answers identically, unpacked and packed.
+// result answers identically. Parts whose point grouping carries no
+// packed store, or one at another width (a legacy file), are re-packed
+// at the grid's derived width; parts already at that width are adopted
+// without copying.
 func TestGIRFromPartsEquivalence(t *testing.T) {
 	P, W := partsData(91, 160, 60, 3, 50)
-	for _, bits := range []int{0, 5} {
-		base := NewGIRLayout(P, W, 50, 8, Layout{PackedBits: bits})
+	base := NewGIR(P, W, 50, 8)
+	if base.PackedBits() != PackedWidth(8) {
+		t.Fatalf("fresh build packed at %d bits, want %d", base.PackedBits(), PackedWidth(8))
+	}
+	wrongWidth := grid.NewGrouped(base.PointCells())
+	wrongWidth.Pack(7)
+	for name, pg := range map[string]*grid.GroupedIndex{
+		"adopted":     base.PointGrouping(),
+		"unpacked":    grid.NewGrouped(base.PointCells()),
+		"other width": wrongWidth,
+	} {
 		got := NewGIRFromParts(GIRParts{
 			PM: base.pm, WM: base.wm,
 			Grid: base.Grid(),
 			PA:   base.PointCells(), WA: base.WeightCells(),
-			PG: base.PointGrouping(), WG: base.WeightGrouping(),
-			PackedBits: bits,
+			PG: pg, WG: base.WeightGrouping(),
 		})
 		if got.PointGroups() != base.PointGroups() || got.WeightGroups() != base.WeightGroups() {
-			t.Fatalf("bits=%d: groups %d/%d, want %d/%d", bits,
+			t.Fatalf("%s: groups %d/%d, want %d/%d", name,
 				got.PointGroups(), got.WeightGroups(), base.PointGroups(), base.WeightGroups())
 		}
-		if got.PackedBits() != bits {
-			t.Fatalf("bits=%d: PackedBits %d", bits, got.PackedBits())
+		if got.PackedBits() != base.PackedBits() || !got.pk.Equal(base.pk) {
+			t.Fatalf("%s: packed store at %d bits differs from the fresh build's", name, got.PackedBits())
 		}
-		answersEqual(t, base, got, fmt.Sprintf("bits=%d", bits))
+		if name == "adopted" && got.pk != base.pk {
+			t.Fatalf("%s: a packed store at the derived width was copied", name)
+		}
+		answersEqual(t, base, got, name)
 	}
-	// A packed width without a matching packed store is a programming
-	// error the constructor must refuse loudly.
-	base := NewGIRLayout(P, W, 50, 8, Layout{})
-	defer func() {
-		if recover() == nil {
-			t.Error("NewGIRFromParts accepted PackedBits without a packed store")
-		}
-	}()
-	NewGIRFromParts(GIRParts{
-		PM: base.pm, WM: base.wm, Grid: base.Grid(),
-		PA: base.PointCells(), WA: base.WeightCells(),
-		PG: base.PointGrouping(), WG: base.WeightGrouping(),
-		PackedBits: 5,
-	})
 }
 
 // TestGIRCanonicalWeightRange pins the derivation the persist layer
@@ -115,7 +116,7 @@ func TestGIRCanonicalWeightRange(t *testing.T) {
 // accessors the derivations are gated on.
 func TestGIRMutateDerivations(t *testing.T) {
 	P, W := partsData(93, 120, 50, 3, 50)
-	base := NewGIRLayout(P, W, 50, 8, Layout{PackedBits: 4})
+	base := NewGIR(P, W, 50, 8)
 	if base.PointRange() != 50 {
 		t.Fatalf("PointRange = %v", base.PointRange())
 	}
@@ -126,13 +127,13 @@ func TestGIRMutateDerivations(t *testing.T) {
 	// Append a point.
 	addP := append(append([]vec.Vector(nil), P...), vec.Vector{25, 10, 40})
 	got := base.WithAppendedPoint(vec.NewMatrix(addP))
-	want := NewGIRLayout(addP, W, 50, 8, Layout{PackedBits: 4})
+	want := NewGIR(addP, W, 50, 8)
 	answersEqual(t, want, got, "appended point")
 
 	// Remove a point.
 	delP := append(append([]vec.Vector(nil), P[:7]...), P[8:]...)
 	got = base.WithRemovedPoint(vec.NewMatrix(delP), 7)
-	want = NewGIRLayout(delP, W, 50, 8, Layout{PackedBits: 4})
+	want = NewGIR(delP, W, 50, 8)
 	answersEqual(t, want, got, "removed point")
 
 	// Append a weight (inside the current weight range, so the grid is
@@ -141,7 +142,7 @@ func TestGIRMutateDerivations(t *testing.T) {
 	copy(nw, W[0])
 	addW := append(append([]vec.Vector(nil), W...), nw)
 	got = base.WithAppendedWeight(vec.NewMatrix(addW))
-	want = newGIR(vec.NewMatrix(P), vec.NewMatrix(addW), base.Grid(), Layout{PackedBits: 4})
+	want = newGIR(vec.NewMatrix(P), vec.NewMatrix(addW), base.Grid())
 	answersEqual(t, want, got, "appended weight")
 
 	// Remove a weight. The canonical range may shrink, so compare
@@ -149,6 +150,6 @@ func TestGIRMutateDerivations(t *testing.T) {
 	// promises), not a canonical rebuild.
 	delW := append(append([]vec.Vector(nil), W[:3]...), W[4:]...)
 	got = base.WithRemovedWeight(vec.NewMatrix(delW), 3)
-	want = newGIR(vec.NewMatrix(P), vec.NewMatrix(delW), base.Grid(), Layout{PackedBits: 4})
+	want = newGIR(vec.NewMatrix(P), vec.NewMatrix(delW), base.Grid())
 	answersEqual(t, want, got, "removed weight")
 }

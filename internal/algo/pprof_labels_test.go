@@ -35,10 +35,10 @@ func TestScanWorkerPprofLabels(t *testing.T) {
 		var c stats.Counters
 		for i := 0; !stop.Load(); i++ {
 			q := P.Points[i%len(P.Points)]
-			if _, err := gir.ReverseTopKCtx(ctx, q, 40, 4, &c); err != nil {
+			if _, err := gir.ReverseTopKOpts(ctx, q, 40, QueryOpts{Workers: 4, Counters: &c}); err != nil {
 				return
 			}
-			if _, err := gir.ReverseKRanksCtx(ctx, q, 10, 4, &c); err != nil {
+			if _, err := gir.ReverseKRanksOpts(ctx, q, 10, QueryOpts{Workers: 4, Counters: &c}); err != nil {
 				return
 			}
 		}
@@ -56,7 +56,7 @@ func TestScanWorkerPprofLabels(t *testing.T) {
 		last = buf.String()
 		if strings.Contains(last, `"rrq_query":"reverse_topk"`) ||
 			strings.Contains(last, `"rrq_query":"reverse_kranks"`) {
-			if !strings.Contains(last, `"rrq_layout":"float64"`) {
+			if !strings.Contains(last, `"rrq_layout":"packed"`) {
 				t.Errorf("worker labels missing rrq_layout: %s", relevantLines(last))
 			}
 			if !strings.Contains(last, `"rrq_k":`) {

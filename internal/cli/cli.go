@@ -111,20 +111,18 @@ type QueryOptions struct {
 	Explain bool
 }
 
-// applyParallel configures intra-query workers on algorithms that
-// support them (currently gir only).
-func applyParallel(a interface{ Name() string }, workers int) error {
+// checkParallel validates -parallel: intra-query workers are a gir
+// feature (0 and 1 scan on one goroutine).
+func checkParallel(a interface{ Name() string }, workers int) error {
 	if workers == 0 || workers == 1 {
 		return nil
 	}
 	if workers < 0 {
 		return fmt.Errorf("-parallel must be non-negative, got %d", workers)
 	}
-	g, ok := a.(*algo.GIR)
-	if !ok {
+	if _, ok := a.(*algo.GIR); !ok {
 		return fmt.Errorf("-parallel is only supported by -algo gir, not %s", a.Name())
 	}
-	g.Parallelism = workers
 	return nil
 }
 
@@ -132,15 +130,6 @@ func applyParallel(a interface{ Name() string }, workers int) error {
 // It is RunQueryCtx under a background context.
 func RunQuery(w io.Writer, opts QueryOptions) error {
 	return RunQueryCtx(context.Background(), w, opts)
-}
-
-// girWorkers maps the CLI's -parallel semantics (0 or 1 = sequential)
-// to the algorithm layer's explicit worker count.
-func girWorkers(parallel int) int {
-	if parallel <= 1 {
-		return 1
-	}
-	return parallel
 }
 
 // RunQueryCtx executes one query under ctx and writes a human-readable
@@ -197,12 +186,12 @@ func RunQueryCtx(ctx context.Context, w io.Writer, opts QueryOptions) error {
 		if err != nil {
 			return err
 		}
-		if err := applyParallel(a, opts.Parallel); err != nil {
+		if err := checkParallel(a, opts.Parallel); err != nil {
 			return err
 		}
 		var res []int
 		if g, ok := a.(*algo.GIR); ok {
-			res, err = g.ReverseTopKTraced(ctx, q, opts.K, girWorkers(opts.Parallel), &c, tr)
+			res, err = g.ReverseTopKOpts(ctx, q, opts.K, algo.QueryOpts{Workers: opts.Parallel, Counters: &c, Trace: tr})
 		} else if err = ctx.Err(); err == nil {
 			res = a.ReverseTopK(q, opts.K, &c)
 		}
@@ -224,12 +213,12 @@ func RunQueryCtx(ctx context.Context, w io.Writer, opts QueryOptions) error {
 		if err != nil {
 			return err
 		}
-		if err := applyParallel(a, opts.Parallel); err != nil {
+		if err := checkParallel(a, opts.Parallel); err != nil {
 			return err
 		}
 		var res []topk.Match
 		if g, ok := a.(*algo.GIR); ok {
-			res, err = g.ReverseKRanksTraced(ctx, q, opts.K, girWorkers(opts.Parallel), &c, tr)
+			res, err = g.ReverseKRanksOpts(ctx, q, opts.K, algo.QueryOpts{Workers: opts.Parallel, Counters: &c, Trace: tr})
 		} else if err = ctx.Err(); err == nil {
 			res = a.ReverseKRanks(q, opts.K, &c)
 		}

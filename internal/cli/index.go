@@ -49,7 +49,6 @@ func runIndexBuild(w io.Writer, args []string) error {
 	products := fs.String("products", "", "product data set file")
 	prefs := fs.String("prefs", "", "preference data set file")
 	grid := fs.Int("grid", 0, "grid partitions per axis (0 = auto)")
-	packedBits := fs.Int("packed-bits", 0, "bit-packed cell rows at this width, 4-8 bits per dimension (0 = float64 layout)")
 	out := fs.String("out", "index.gri", "output index file")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -66,7 +65,7 @@ func runIndexBuild(w io.Writer, args []string) error {
 		return err
 	}
 	ix, err := gridrank.New(toVectors(P.Points), toVectors(W.Points),
-		&gridrank.Options{GridPartitions: *grid, PackedBits: *packedBits})
+		&gridrank.Options{GridPartitions: *grid})
 	if err != nil {
 		return err
 	}
@@ -81,9 +80,6 @@ func runIndexBuild(w io.Writer, args []string) error {
 
 // layoutString renders an index layout for the build and info verbs.
 func layoutString(lay gridrank.Layout) string {
-	if !lay.Packed {
-		return "float64"
-	}
 	return fmt.Sprintf("packed %d-bit (x%d kernel)", lay.BitsPerDim, lay.RowBlock)
 }
 

@@ -2,6 +2,7 @@ package cli
 
 import (
 	"bytes"
+	"context"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -91,7 +92,7 @@ func TestIndexMutationVerbs(t *testing.T) {
 	if ix.NumProducts() != 499 || ix.NumPreferences() != 200 {
 		t.Fatalf("reloaded index is %d×%d, want 499×200", ix.NumProducts(), ix.NumPreferences())
 	}
-	if _, err := ix.ReverseTopK(ix.Products()[0], 5); err != nil {
+	if _, err := ix.ReverseTopKCtx(context.Background(), ix.Products()[0], 5); err != nil {
 		t.Fatalf("reloaded index cannot query: %v", err)
 	}
 }

@@ -104,9 +104,9 @@ type Registry struct {
 // package's Layout; the duplicate type keeps the import graph acyclic,
 // as with TraceCounts.
 type Layout struct {
-	Packed     bool // rows stored bit-packed rather than as float64 cells
-	BitsPerDim int  // bits per dimension when packed, 0 otherwise
-	RowBlock   int  // rows classified per kernel call (1 when unpacked)
+	Packed     bool // rows stored bit-packed
+	BitsPerDim int  // packed bits per dimension
+	RowBlock   int  // rows classified per kernel call
 }
 
 // SetLayout records the index's scan layout, surfaced as labels on

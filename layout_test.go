@@ -1,11 +1,12 @@
 package gridrank
 
-// Coverage for the layout-aware build surface: Options.PackedBits
-// validation, the Layout accessor, public-level packed-vs-unpacked
-// answer equivalence (the algo-level sweep lives in
-// internal/algo/gir_reference_test.go), WithLayoutReference, layout
-// preservation across mutations, and the version-2 persistence format
-// (packed sections, v1 back-compat, corruption rejection).
+// Coverage for the packed layout's public surface: the packed width
+// every grid size derives and the Layout accessor that reports it,
+// public-level equivalence of the packed scan with exact float64 ranks
+// across grid sizes (the algo-level sweep lives in
+// internal/algo/gir_reference_test.go), the width across mutations, and
+// the persistence of packed rows (round trips, v1 back-compat,
+// corruption rejection).
 
 import (
 	"bytes"
@@ -14,11 +15,28 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 	"testing"
 
+	"gridrank/internal/algo"
 	"gridrank/internal/dataset"
 )
 
+// derivedWidth is the packed width rule spelled out independently of
+// algo.PackedWidth: the smallest b in [4, 8] with 2^b >= n.
+func derivedWidth(n int) int {
+	for b := 4; b < 8; b++ {
+		if 1<<b >= n {
+			return b
+		}
+	}
+	return 8
+}
+
+// TestPackedBitsValidation pins that the packed width is derived, never
+// configured: every grid size reports the smallest width in [4, 8] that
+// encodes its partitions — fresh builds, Theorem 1-sized grids and the
+// default alike.
 func TestPackedBitsValidation(t *testing.T) {
 	P, err := GenerateProducts(61, Uniform, 50, 4)
 	if err != nil {
@@ -28,140 +46,139 @@ func TestPackedBitsValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, bad := range []int{-1, 1, 3, 9, 64} {
-		if _, err := New(P, W, &Options{PackedBits: bad}); !errors.Is(err, ErrBadPackedBits) {
-			t.Errorf("PackedBits=%d: err = %v, want ErrBadPackedBits", bad, err)
+	check := func(name string, opts *Options, n int) {
+		t.Helper()
+		ix, err := New(P, W, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if ix.GridPartitions() != n {
+			t.Fatalf("%s: %d partitions, want %d", name, ix.GridPartitions(), n)
+		}
+		want := Layout{Packed: true, BitsPerDim: derivedWidth(n), RowBlock: algo.RowBlock}
+		if lay := ix.Layout(); lay != want {
+			t.Errorf("%s: layout %+v, want %+v", name, lay, want)
 		}
 	}
-	// 4 bits cover only 16 cells; the default grid has 32 partitions.
-	if _, err := New(P, W, &Options{PackedBits: 4}); !errors.Is(err, ErrBadPackedBits) {
-		t.Errorf("PackedBits=4 on default 32-cell grid: err = %v, want ErrBadPackedBits", err)
+	for _, n := range []int{1, 2, 15, 16, 17, 32, 33, 64, 65, 100, 128, 129, 255, 256} {
+		check(fmt.Sprintf("n=%d", n), &Options{GridPartitions: n}, n)
 	}
-	if _, err := New(P, W, &Options{PackedBits: 4, GridPartitions: 16}); err != nil {
-		t.Errorf("PackedBits=4 on a 16-cell grid rejected: %v", err)
+	check("default", nil, algo.DefaultPartitions)
+	auto, err := RequiredPartitions(4, 0.99)
+	if err != nil {
+		t.Fatal(err)
 	}
+	check("TargetFiltering", &Options{TargetFiltering: 0.99}, auto)
+}
 
-	ix, err := New(P, W, nil)
-	if err != nil {
-		t.Fatal(err)
+// exactAnswers derives both reverse answers for q from ix.Rank, the
+// exact float64 rank over the raw product rows — no grid, no packed
+// cells.
+func exactAnswers(t *testing.T, ix *Index, q Vector, k int) ([]int, []Match) {
+	t.Helper()
+	var rtk []int
+	var all []Match
+	for wi, w := range ix.Preferences() {
+		r, err := ix.Rank(w, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r < k {
+			rtk = append(rtk, wi)
+		}
+		all = append(all, Match{WeightIndex: wi, Rank: r})
 	}
-	if lay := ix.Layout(); lay.Packed || lay.BitsPerDim != 0 || lay.RowBlock != 1 {
-		t.Errorf("default layout = %+v, want unpacked", lay)
-	}
-	pix, err := New(P, W, &Options{PackedBits: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lay := pix.Layout(); !lay.Packed || lay.BitsPerDim != 5 || lay.RowBlock < 2 {
-		t.Errorf("packed layout = %+v, want {Packed:true BitsPerDim:5 RowBlock>=2}", lay)
-	}
+	sort.Slice(all, func(a, b int) bool {
+		if all[a].Rank != all[b].Rank {
+			return all[a].Rank < all[b].Rank
+		}
+		return all[a].WeightIndex < all[b].WeightIndex
+	})
+	return rtk, all[:min(k, len(all))]
 }
 
 // TestPackedIndexMatchesUnpacked is the public-API face of the packed
-// equivalence gate: a packed index, the same index queried through
-// WithLayoutReference, and an unpacked index over the same data must
-// serialize identical answers at every worker count.
+// equivalence gate: at grid sizes deriving every packed width, the
+// packed scan must serialize the answers that exact, unpacked float64
+// ranks (Index.Rank over the raw product rows) imply, at every worker
+// count.
 func TestPackedIndexMatchesUnpacked(t *testing.T) {
-	ref, P := testIndexWithOpts(t, nil)
-	packed, _ := testIndexWithOpts(t, &Options{PackedBits: 6})
 	bg := context.Background()
-	for _, q := range []Vector{P[0], P[211], {1, 1, 1, 1, 1}} {
-		for _, k := range []int{1, 10, 120} {
-			wantRTK, err := ref.ReverseTopKCtx(bg, q, k, WithWorkers(1))
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantRKR, err := ref.ReverseKRanksCtx(bg, q, k, WithWorkers(1))
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantR, wantK := fmt.Sprintf("%v", wantRTK), fmt.Sprintf("%+v", wantRKR)
-			for _, workers := range []int{1, 3, 8} {
-				gotRTK, err := packed.ReverseTopKCtx(bg, q, k, WithWorkers(workers))
-				if err != nil {
-					t.Fatal(err)
-				}
-				gotRKR, err := packed.ReverseKRanksCtx(bg, q, k, WithWorkers(workers))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if fmt.Sprintf("%v", gotRTK) != wantR || fmt.Sprintf("%+v", gotRKR) != wantK {
-					t.Fatalf("packed workers=%d k=%d: answers differ from unpacked", workers, k)
-				}
-				refRTK, err := packed.ReverseTopKCtx(bg, q, k, WithWorkers(workers), WithLayoutReference())
-				if err != nil {
-					t.Fatal(err)
-				}
-				refRKR, err := packed.ReverseKRanksCtx(bg, q, k, WithWorkers(workers), WithLayoutReference())
-				if err != nil {
-					t.Fatal(err)
-				}
-				if fmt.Sprintf("%v", refRTK) != wantR || fmt.Sprintf("%+v", refRKR) != wantK {
-					t.Fatalf("WithLayoutReference workers=%d k=%d: answers differ", workers, k)
+	for _, n := range []int{16, 32, 64, 128, 256} {
+		ix, P := testIndexWithOpts(t, &Options{GridPartitions: n})
+		for _, q := range []Vector{P[0], P[211], {1, 1, 1, 1, 1}} {
+			for _, k := range []int{1, 10, 120} {
+				wantRTK, wantRKR := exactAnswers(t, ix, q, k)
+				wantR, wantK := fmt.Sprintf("%v", wantRTK), fmt.Sprintf("%+v", wantRKR)
+				for _, workers := range []int{1, 3, 8} {
+					gotRTK, err := ix.ReverseTopKCtx(bg, q, k, WithWorkers(workers))
+					if err != nil {
+						t.Fatal(err)
+					}
+					gotRKR, err := ix.ReverseKRanksCtx(bg, q, k, WithWorkers(workers))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if fmt.Sprintf("%v", gotRTK) != wantR || fmt.Sprintf("%+v", gotRKR) != wantK {
+						t.Fatalf("n=%d workers=%d k=%d: packed answers differ from exact ranks", n, workers, k)
+					}
 				}
 			}
 		}
-	}
-	// The option is a no-op on an unpacked index.
-	plain, err := ref.ReverseTopKCtx(bg, P[0], 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := ref.ReverseTopKCtx(bg, P[0], 5, WithLayoutReference())
-	if err != nil || fmt.Sprintf("%v", got) != fmt.Sprintf("%v", plain) {
-		t.Fatalf("WithLayoutReference on unpacked index: %v (want %v), err %v", got, plain, err)
 	}
 }
 
 // TestMutationsPreserveLayout pins the rebuild policy: every mutation
 // path — incremental derivation, single-element rebuild, batch rebuild
-// — carries the packed layout into the next epoch, and the mutated
-// index keeps answering identically to a fresh packed build.
+// — keeps scanning at the width the grid size derives, and the mutated
+// index keeps answering identically to a fresh build.
 func TestMutationsPreserveLayout(t *testing.T) {
-	ix, P := testIndexWithOpts(t, &Options{PackedBits: 5})
-	if _, err := ix.InsertProduct(Vector{0.5, 0.4, 0.3, 0.2, 0.1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := ix.DeleteProduct(0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ix.InsertPreference(Vector{0.2, 0.2, 0.2, 0.2, 0.2}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ix.InsertProducts([]Vector{{1, 2, 3, 4, 5}, {5, 4, 3, 2, 1}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := ix.DeletePreferences([]int{3, 7}); err != nil {
-		t.Fatal(err)
-	}
-	if lay := ix.Layout(); !lay.Packed || lay.BitsPerDim != 5 {
-		t.Fatalf("layout after mutations = %+v, want packed 5-bit", lay)
-	}
-	fresh, err := New(ix.Products(), ix.Preferences(), &Options{PackedBits: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := P[50]
-	want, err := fresh.ReverseKRanksCtx(context.Background(), q, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := ix.ReverseKRanksCtx(context.Background(), q, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", want) {
-		t.Fatalf("mutated packed index answers %+v, fresh build %+v", got, want)
+	for _, n := range []int{16, 32, 256} {
+		ix, P := testIndexWithOpts(t, &Options{GridPartitions: n})
+		if _, err := ix.InsertProduct(Vector{0.5, 0.4, 0.3, 0.2, 0.1}); err != nil {
+			t.Fatal(err)
+		}
+		if err := ix.DeleteProduct(0); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ix.InsertPreference(Vector{0.2, 0.2, 0.2, 0.2, 0.2}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ix.InsertProducts([]Vector{{1, 2, 3, 4, 5}, {5, 4, 3, 2, 1}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := ix.DeletePreferences([]int{3, 7}); err != nil {
+			t.Fatal(err)
+		}
+		if lay := ix.Layout(); !lay.Packed || lay.BitsPerDim != derivedWidth(n) {
+			t.Fatalf("n=%d: layout after mutations = %+v, want packed %d-bit", n, lay, derivedWidth(n))
+		}
+		fresh, err := New(ix.Products(), ix.Preferences(), &Options{GridPartitions: n})
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := P[50]
+		want, err := fresh.ReverseKRanksCtx(context.Background(), q, 9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := ix.ReverseKRanksCtx(context.Background(), q, 9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", want) {
+			t.Fatalf("n=%d: mutated index answers %+v, fresh build %+v", n, got, want)
+		}
 	}
 }
 
-// TestMutationWrappersMatchCtxAPI mirrors the deprecated-query
-// equivalence harness for the mutation surface: every context-free
-// mutator is a thin wrapper over its Ctx form, so driving two copies of
-// the same index through both forms must leave byte-identical indexes.
+// TestMutationWrappersMatchCtxAPI covers the mutation surface's two
+// forms: every context-free mutator is a thin wrapper over its Ctx
+// form, so driving two copies of the same index through both forms must
+// leave byte-identical indexes.
 func TestMutationWrappersMatchCtxAPI(t *testing.T) {
-	a, _ := testIndexWithOpts(t, &Options{PackedBits: 5})
-	b, _ := testIndexWithOpts(t, &Options{PackedBits: 5})
+	a, _ := testIndexWithOpts(t, nil)
+	b, _ := testIndexWithOpts(t, nil)
 	bg := context.Background()
 
 	step := func(name string, plain, ctx error) {
@@ -211,67 +228,64 @@ func TestMutationWrappersMatchCtxAPI(t *testing.T) {
 	}
 }
 
-// TestIndexPackedRoundTrip proves the version-2 format persists the
-// layout: a packed index survives WriteTo/ReadIndex with its layout and
-// answers intact, and the stored packed section is verified on load.
+// TestIndexPackedRoundTrip proves the GRI3 format persists the packed
+// rows: at grid sizes deriving several widths, an index survives
+// WriteTo/ReadIndex with its layout and answers intact, and the stored
+// packed-rows section is verified on load.
 func TestIndexPackedRoundTrip(t *testing.T) {
-	ix, P := testIndexWithOpts(t, &Options{PackedBits: 6})
-	var buf bytes.Buffer
-	if _, err := ix.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	raw := append([]byte(nil), buf.Bytes()...)
-	got, err := ReadIndex(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lay := got.Layout(); !lay.Packed || lay.BitsPerDim != 6 {
-		t.Fatalf("loaded layout = %+v, want packed 6-bit", lay)
-	}
-	q := P[7]
-	want, err := ix.ReverseKRanksCtx(context.Background(), q, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	have, err := got.ReverseKRanksCtx(context.Background(), q, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprintf("%+v", have) != fmt.Sprintf("%+v", want) {
-		t.Fatalf("loaded packed index answers differ: %+v vs %+v", have, want)
-	}
-
-	// Corrupting any single byte of the packed section must be caught:
-	// either the section's own framing rejects it, or the byte-for-byte
-	// comparison against the rebuilt cells does.
-	unpackedLen := func() int {
-		u, _ := testIndexWithOpts(t, nil)
-		var ub bytes.Buffer
-		if _, err := u.WriteTo(&ub); err != nil {
+	for _, n := range []int{16, 32, 128} {
+		ix, P := testIndexWithOpts(t, &Options{GridPartitions: n})
+		var buf bytes.Buffer
+		if _, err := ix.WriteTo(&buf); err != nil {
 			t.Fatal(err)
 		}
-		return ub.Len()
-	}()
-	if len(raw) <= unpackedLen {
-		t.Fatalf("packed stream (%d bytes) not longer than unpacked (%d): no section written?", len(raw), unpackedLen)
-	}
-	for _, off := range []int{unpackedLen, unpackedLen + 9, len(raw) - 1} {
-		bad := append([]byte(nil), raw...)
-		bad[off] ^= 0x40
-		if _, err := ReadIndex(bytes.NewReader(bad)); !errors.Is(err, ErrBadIndexFile) {
-			t.Errorf("flipped packed byte at %d: err = %v, want ErrBadIndexFile", off, err)
+		raw := append([]byte(nil), buf.Bytes()...)
+		got, err := ReadIndex(&buf)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// Truncating the packed section away is equally fatal.
-	if _, err := ReadIndex(bytes.NewReader(raw[:unpackedLen])); !errors.Is(err, ErrBadIndexFile) {
-		t.Errorf("missing packed section: err = %v, want ErrBadIndexFile", err)
+		if lay := got.Layout(); lay != ix.Layout() || lay.BitsPerDim != derivedWidth(n) {
+			t.Fatalf("n=%d: loaded layout = %+v, want packed %d-bit", n, lay, derivedWidth(n))
+		}
+		q := P[7]
+		want, err := ix.ReverseKRanksCtx(context.Background(), q, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		have, err := got.ReverseKRanksCtx(context.Background(), q, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprintf("%+v", have) != fmt.Sprintf("%+v", want) {
+			t.Fatalf("n=%d: loaded index answers differ: %+v vs %+v", n, have, want)
+		}
+
+		// Corrupting any single byte of the packed-rows section (the last
+		// one) must be caught, and so must truncating it away.
+		h, err := parseGRI3Header(raw[:gri3HeaderLen])
+		if err != nil {
+			t.Fatal(err)
+		}
+		secs, _ := h.layout()
+		off := int(secs[secPackedRows-1].offset)
+		for _, at := range []int{off, off + 9, len(raw) - 1} {
+			bad := append([]byte(nil), raw...)
+			bad[at] ^= 0x40
+			if _, err := ReadIndex(bytes.NewReader(bad)); !errors.Is(err, ErrBadIndexFile) {
+				t.Errorf("n=%d: flipped packed byte at %d: err = %v, want ErrBadIndexFile", n, at, err)
+			}
+		}
+		if _, err := ReadIndex(bytes.NewReader(raw[:off])); !errors.Is(err, ErrBadIndexFile) {
+			t.Errorf("n=%d: missing packed section: err = %v, want ErrBadIndexFile", n, err)
+		}
 	}
 }
 
 // TestIndexLoadsV1Format pins backward compatibility: a version-1 file
-// (no layout field, no packed section) still loads — as an unpacked
-// index — and re-saves in the current format, byte-identical to the
-// fresh index's own serialization. The v1 stream is hand-constructed
+// (no layout field, no packed section) still loads — scanning packed
+// rows at the derived width like any index — and re-saves in the
+// current format, byte-identical to the fresh index's own
+// serialization. The v1 stream is hand-constructed
 // the way the original writer produced it: magic+n+rangeP, then the two
 // data set blocks.
 func TestIndexLoadsV1Format(t *testing.T) {
@@ -294,8 +308,8 @@ func TestIndexLoadsV1Format(t *testing.T) {
 	if err != nil {
 		t.Fatalf("v1 file rejected: %v", err)
 	}
-	if lay := got.Layout(); lay.Packed {
-		t.Fatalf("v1 file loaded packed: %+v", lay)
+	if lay := got.Layout(); lay != ix.Layout() {
+		t.Fatalf("v1 file loaded at layout %+v, want the derived %+v", lay, ix.Layout())
 	}
 	if got.Format() != "GRI1" || ix.Format() != "GRI3" {
 		t.Fatalf("formats: loaded %q (want GRI1), fresh %q (want GRI3)", got.Format(), ix.Format())

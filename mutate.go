@@ -80,26 +80,21 @@ func (ix *Index) checkNewPreference(w Vector) error {
 
 // rebuildEpoch constructs epoch seq from scratch over (pm, wm), exactly
 // as New would over the same data: fresh ranges, approximate vectors,
-// groupings and grid. The physical layout (packed row width) carries
-// over so a rebuild never silently changes how the index scans.
-func rebuildEpoch(seq uint64, pm, wm *vec.Matrix, n int, lay algo.Layout) *epoch {
+// groupings, grid and packed rows (whose width the grid size fixes).
+func rebuildEpoch(seq uint64, pm, wm *vec.Matrix, n int) *epoch {
 	rangeP := computeRangeP(pm.Rows())
 	return &epoch{
 		seq:    seq,
 		pm:     pm,
 		wm:     wm,
 		rangeP: rangeP,
-		gir:    algo.NewGIRFromMatricesLayout(pm, wm, rangeP, n, lay),
+		gir:    algo.NewGIRFromMatrices(pm, wm, rangeP, n),
 	}
 }
 
 // partitions returns the grid resolution of an epoch, preserved across
 // rebuilds.
 func (e *epoch) partitions() int { return e.gir.Grid().N() }
-
-// layout returns the physical scan layout of an epoch, preserved across
-// rebuilds.
-func (e *epoch) layout() algo.Layout { return algo.Layout{PackedBits: e.gir.PackedBits()} }
 
 // nextPointEpoch derives the epoch after a single-product mutation:
 // incremental when the persisted point range is unchanged (and the
@@ -112,7 +107,7 @@ func nextPointEpoch(e *epoch, pm *vec.Matrix, derive func() *algo.GIR) (ne *epoc
 	if nr := computeRangeP(pm.Rows()); nr == e.rangeP && e.gir.PointRange() == e.rangeP {
 		return &epoch{seq: e.seq + 1, pm: pm, wm: e.wm, rangeP: e.rangeP, gir: derive()}, true
 	}
-	return rebuildEpoch(e.seq+1, pm, e.wm, e.partitions(), e.layout()), false
+	return rebuildEpoch(e.seq+1, pm, e.wm, e.partitions()), false
 }
 
 // storeRebuilt publishes a from-scratch epoch over (pm, wm), flushes
@@ -122,7 +117,7 @@ func nextPointEpoch(e *epoch, pm *vec.Matrix, derive func() *algo.GIR) (ne *epoc
 // op and start feed the install's flight-recorder digest.
 func (ix *Index) storeRebuilt(e *epoch, pm, wm *vec.Matrix, op flight.Op, start time.Time) {
 	pre := ix.flightProbe()
-	ne := rebuildEpoch(e.seq+1, pm, wm, e.partitions(), e.layout())
+	ne := rebuildEpoch(e.seq+1, pm, wm, e.partitions())
 	ix.cur.Store(ne)
 	ix.cacheFlush(ne.seq)
 	ix.subOnRebuild(ne)
@@ -232,7 +227,7 @@ func (ix *Index) InsertPreferenceCtx(ctx context.Context, w Vector) (int, error)
 	} else {
 		// A component at or beyond the weight axis would clamp into the
 		// last cell and break the upper bound: rebuild with a grown axis.
-		ne = rebuildEpoch(e.seq+1, e.pm, wm, e.partitions(), e.layout())
+		ne = rebuildEpoch(e.seq+1, e.pm, wm, e.partitions())
 	}
 	ix.cur.Store(ne)
 	ix.cacheOnPrefInsert(ne, id)

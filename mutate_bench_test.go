@@ -1,6 +1,7 @@
 package gridrank
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -131,7 +132,7 @@ func BenchmarkGIRMutationUnderQueryLoad(b *testing.B) {
 				return
 			default:
 			}
-			if _, err := ix.ReverseTopK(q, 10); err != nil {
+			if _, err := ix.ReverseTopKCtx(context.Background(), q, 10); err != nil {
 				b.Error(err)
 				return
 			}
@@ -209,7 +210,7 @@ func BenchmarkGIRMutationSubscriberFanout(b *testing.B) {
 						return
 					default:
 					}
-					if _, err := ix.ReverseTopK(q, 10); err != nil {
+					if _, err := ix.ReverseTopKCtx(context.Background(), q, 10); err != nil {
 						b.Error(err)
 						return
 					}

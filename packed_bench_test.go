@@ -1,11 +1,10 @@
 package gridrank
 
-// A/B pairs pricing the packed cell-row layout against the float64
-// reference on the reverse k-ranks scan, at the paper's default d = 6
-// and at d = 16 where the per-row classify work dominates and the
-// widened packed kernel has the most to win. Both sides of each pair
-// run the identical workload, so the ratio is the layout's speedup;
-// scripts/bench.sh records both in BENCH_gir.json.
+// The packed-row scan at the paper's default grid (n = 32, so the rows
+// pack at the derived 5 bits per cell), on the reverse k-ranks scan at
+// the paper's default d = 6 and at d = 16 where the per-row classify
+// work dominates, plus reverse top-k at d = 16. scripts/bench.sh
+// records them in BENCH_gir.json.
 
 import (
 	"testing"
@@ -13,31 +12,24 @@ import (
 	"gridrank/internal/algo"
 )
 
-func benchGIRLayoutRKR(b *testing.B, d, packedBits int) {
-	b.Helper()
-	data := makeBenchData(b, 4000, 1000, d)
-	gir := algo.NewGIRLayout(data.P, data.W, DefaultRange, 32, algo.Layout{PackedBits: packedBits})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		gir.ReverseKRanks(data.q, 100, nil)
-	}
-}
+func BenchmarkGIRPackedKRanksD6(b *testing.B)  { benchGIRPackedRKR(b, 6) }
+func BenchmarkGIRPackedKRanksD16(b *testing.B) { benchGIRPackedRKR(b, 16) }
 
-func benchGIRLayoutRTK(b *testing.B, d, packedBits int) {
-	b.Helper()
-	data := makeBenchData(b, 4000, 1000, d)
-	gir := algo.NewGIRLayout(data.P, data.W, DefaultRange, 32, algo.Layout{PackedBits: packedBits})
+func BenchmarkGIRPackedTopKD16(b *testing.B) {
+	data := makeBenchData(b, 4000, 1000, 16)
+	gir := algo.NewGIR(data.P, data.W, DefaultRange, 32)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		gir.ReverseTopK(data.q, 100, nil)
 	}
 }
 
-func BenchmarkGIRUnpackedKRanksD6(b *testing.B) { benchGIRLayoutRKR(b, 6, 0) }
-func BenchmarkGIRPackedKRanksD6(b *testing.B)   { benchGIRLayoutRKR(b, 6, 5) }
-
-func BenchmarkGIRUnpackedKRanksD16(b *testing.B) { benchGIRLayoutRKR(b, 16, 0) }
-func BenchmarkGIRPackedKRanksD16(b *testing.B)   { benchGIRLayoutRKR(b, 16, 5) }
-
-func BenchmarkGIRUnpackedTopKD16(b *testing.B) { benchGIRLayoutRTK(b, 16, 0) }
-func BenchmarkGIRPackedTopKD16(b *testing.B)   { benchGIRLayoutRTK(b, 16, 5) }
+func benchGIRPackedRKR(b *testing.B, d int) {
+	b.Helper()
+	data := makeBenchData(b, 4000, 1000, d)
+	gir := algo.NewGIR(data.P, data.W, DefaultRange, 32)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		gir.ReverseKRanks(data.q, 100, nil)
+	}
+}

@@ -9,6 +9,7 @@ package gridrank
 //	go test -bench 'BenchmarkGIRParallel|BenchmarkIndexConstruction' -benchtime 3x
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -26,17 +27,18 @@ func makeParallelBenchData(b *testing.B) (benchData, *algo.GIR) {
 // the acceptance workload of the parallel execution model.
 func BenchmarkGIRParallel(b *testing.B) {
 	data, gir := makeParallelBenchData(b)
+	ctx := context.Background()
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("rkr/workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				gir.ReverseKRanksParallel(data.q, 10, workers, nil)
+				gir.ReverseKRanksOpts(ctx, data.q, 10, algo.QueryOpts{Workers: workers})
 			}
 		})
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("rtk/workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				gir.ReverseTopKParallel(data.q, 100, workers, nil)
+				gir.ReverseTopKOpts(ctx, data.q, 100, algo.QueryOpts{Workers: workers})
 			}
 		})
 	}

@@ -36,14 +36,18 @@ import (
 //	packed P^(A) rows (bits.PackedRows block)   — v2, when packedBits > 0
 //
 // Both load transparently (a version-2 packed section is verified
-// byte-for-byte against the rebuilt cells) and re-save as version 3.
+// byte-for-byte against the rebuilt cells at its stored width) and
+// re-save as version 3. Like every index, a loaded one scans packed rows
+// at the width its grid size derives, whatever width (if any) the file
+// stored.
 //
 // A mutated index persists exactly like a fresh build over the same data:
 // the mutation paths maintain rangeP with New's derivation (see
 // computeRangeP), and the GRI3 writer re-canonicalizes the weight axis
 // and group numbering when mutations let them drift (see
 // canonicalArtifacts), so Save after any insert/delete sequence produces
-// a file byte-identical to Save of New(current data) with the same layout.
+// a file byte-identical to Save of New(current data) over the same grid
+// size.
 
 const (
 	indexMagicV1 = 0x31495247 // "GRI1"
@@ -109,8 +113,8 @@ func readIndexSized(r io.Reader, sizeHint int64) (*Index, error) {
 	case indexMagicV3:
 		return readIndexV3(br, hdr, sizeHint)
 	case indexMagicV1:
-		// Version 1: no layout field, no packed section. Loads unpacked;
-		// the next Save writes version 3.
+		// Version 1: no layout field, no packed section. The next Save
+		// writes version 3.
 		var raw [8]byte
 		if _, err := io.ReadFull(br, raw[:]); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBadIndexFile, err)
@@ -169,7 +173,7 @@ func readIndexSized(r io.Reader, sizeHint int64) (*Index, error) {
 	// the index views and the algorithm.
 	pm := vec.MatrixFromFlat(pset.Data, pset.Dim)
 	wm := vec.MatrixFromFlat(wset.Data, wset.Dim)
-	gir := algo.NewGIRFromMatricesLayout(pm, wm, rangeP, n, algo.Layout{PackedBits: packedBits})
+	gir := algo.NewGIRFromMatrices(pm, wm, rangeP, n)
 	if packedBits > 0 {
 		// The stored packed section must match the cells rebuilt from the
 		// data sections exactly: a mismatch means some section was

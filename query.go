@@ -51,9 +51,6 @@ type queryConfig struct {
 	// servedEpoch, when non-nil, receives the epoch the answer is valid
 	// against (WithServedEpoch).
 	servedEpoch *uint64
-	// reference forces the float64 reference scan layout for this call
-	// (WithLayoutReference), even on an index built with PackedBits.
-	reference bool
 }
 
 // WithWorkers sets the intra-query worker count for a single call,
@@ -111,20 +108,6 @@ func WithoutCache() QueryOption {
 	}
 }
 
-// WithLayoutReference forces this call to classify cells through the
-// float64 reference layout, even when the index was built with
-// Options.PackedBits and normally scans bit-packed rows. Answers are
-// byte-identical either way — the packed kernel adds the same bound
-// addends in the same order — so the only observable difference is
-// speed. Intended for A/B measurements and for layout-equivalence
-// harnesses; on an unpacked index the option is a no-op.
-func WithLayoutReference() QueryOption {
-	return func(cfg *queryConfig) error {
-		cfg.reference = true
-		return nil
-	}
-}
-
 // WithServedEpoch directs the epoch the answer is valid against into e,
 // written exactly once when the query returns: the snapshot epoch when
 // the scan ran, or the cached entry's epoch on an answer-cache hit (a
@@ -155,7 +138,7 @@ func resolveOptions(opts []QueryOption) (queryConfig, error) {
 }
 
 // resolveWorkers maps the option value to the explicit count the algo
-// layer expects (always >= 1).
+// layer expects (always >= 1; 1 scans on the calling goroutine).
 func (cfg *queryConfig) resolveWorkers(ix *Index) int {
 	switch {
 	case cfg.workers < 0: // index default
@@ -218,65 +201,7 @@ func (dig *queryDigest) cases(c *stats.Counters) {
 // Every call — success, validation error or cancellation — leaves one
 // digest in the always-on flight recorder (see FlightRecords).
 func (ix *Index) ReverseTopKCtx(ctx context.Context, q Vector, k int, opts ...QueryOption) ([]int, error) {
-	start := time.Now()
-	res, dig, err := ix.reverseTopK(ctx, q, k, opts)
-	ix.recordQuery(flight.OpReverseTopK, k, start, dig, err)
-	return res, err
-}
-
-func (ix *Index) reverseTopK(ctx context.Context, q Vector, k int, opts []QueryOption) ([]int, queryDigest, error) {
-	var dig queryDigest
-	cfg, err := resolveOptions(opts)
-	if err != nil {
-		return nil, dig, err
-	}
-	if err := ix.checkQuery(q, k); err != nil {
-		return nil, dig, err
-	}
-	dig.traceHi, dig.traceLo = cfg.tr.IDPair()
-	dig.sampled = cfg.tr.Sampled()
-	c := cfg.counters()
-	ac := ix.answers.Load()
-	if ac != nil && !cfg.noCache {
-		// Honour cancellation before serving from the cache, so a dead
-		// context never "succeeds" just because the answer was resident.
-		if err := ctx.Err(); err != nil {
-			return nil, dig, err
-		}
-		lsp := cfg.tr.StartSpan("cache.lookup")
-		if res, seq, ok := ac.LookupTopK(q, k); ok {
-			lsp.SetInt("hit", 1).SetInt("epoch", int64(seq)).End()
-			cfg.finish(c) // a hit performs no scan work: stats are zero
-			cfg.served(seq)
-			dig.epoch, dig.cacheHit = seq, true
-			return res, dig, nil
-		}
-		lsp.SetInt("hit", 0).End()
-	}
-	// One snapshot load: the whole scan runs against a single epoch even
-	// if mutations land mid-query.
-	sp := cfg.tr.StartSpan("snapshot")
-	ep := ix.snap()
-	sp.SetInt("epoch", int64(ep.seq)).End()
-	dig.epoch = ep.seq
-	res, err := ep.gir.ReverseTopKOpts(ctx, q, k, algo.QueryOpts{
-		Workers:   cfg.resolveWorkers(ix),
-		Counters:  c,
-		Trace:     cfg.tr,
-		Reference: cfg.reference,
-	})
-	cfg.finish(c)
-	dig.cases(c)
-	if err != nil {
-		return nil, dig, err
-	}
-	cfg.served(ep.seq)
-	if ac != nil && !cfg.noCache {
-		ssp := cfg.tr.StartSpan("cache.store")
-		ac.StoreTopK(q, k, ep.seq, res)
-		ssp.End()
-	}
-	return res, dig, nil
+	return runQuery(ix, &topKQuery, ctx, q, k, opts)
 }
 
 // ReverseKRanksCtx returns the k preference vectors ranking q best,
@@ -287,71 +212,114 @@ func (ix *Index) reverseTopK(ctx context.Context, q Vector, k int, opts []QueryO
 // The context and options follow the same contract as ReverseTopKCtx,
 // including the flight-recorder digest per call.
 func (ix *Index) ReverseKRanksCtx(ctx context.Context, q Vector, k int, opts ...QueryOption) ([]Match, error) {
+	return runQuery(ix, &kRanksQuery, ctx, q, k, opts)
+}
+
+// queryKind is everything that tells the two query kinds apart inside
+// runQuery: the flight-recorder op, the algo entrypoint, and the answer
+// cache's lookup and store, each converting to and from T, the kind's
+// public answer type.
+type queryKind[T any] struct {
+	op     flight.Op
+	scan   func(gr *algo.GIR, ctx context.Context, q Vector, k int, o algo.QueryOpts) (T, error)
+	lookup func(ac *cache.Cache, q Vector, k int) (T, uint64, bool)
+	store  func(ac *cache.Cache, q Vector, k int, seq uint64, res T)
+}
+
+var topKQuery = queryKind[[]int]{
+	op:     flight.OpReverseTopK,
+	scan:   (*algo.GIR).ReverseTopKOpts,
+	lookup: (*cache.Cache).LookupTopK,
+	store:  (*cache.Cache).StoreTopK,
+}
+
+var kRanksQuery = queryKind[[]Match]{
+	op: flight.OpReverseKRanks,
+	scan: func(gr *algo.GIR, ctx context.Context, q Vector, k int, o algo.QueryOpts) ([]Match, error) {
+		ms, err := gr.ReverseKRanksOpts(ctx, q, k, o)
+		return convertMatches[Match](ms), err
+	},
+	lookup: func(ac *cache.Cache, q Vector, k int) ([]Match, uint64, bool) {
+		ms, seq, ok := ac.LookupKRanks(q, k)
+		return convertMatches[Match](ms), seq, ok
+	},
+	store: func(ac *cache.Cache, q Vector, k int, seq uint64, res []Match) {
+		ac.StoreKRanks(q, k, seq, convertMatches[cache.Match](res))
+	},
+}
+
+// convertMatches copies a k-ranks answer between the layers' identical
+// (WeightIndex, Rank) match types; nil stays nil.
+func convertMatches[D, S ~struct{ WeightIndex, Rank int }](ms []S) []D {
+	if ms == nil {
+		return nil
+	}
+	out := make([]D, len(ms))
+	for i, m := range ms {
+		out[i] = D(m)
+	}
+	return out
+}
+
+// runQuery is the one query body behind ReverseTopKCtx and
+// ReverseKRanksCtx: option resolution, validation, the answer cache,
+// one snapshot load, the scan and the flight-recorder digest.
+func runQuery[T any](ix *Index, kind *queryKind[T], ctx context.Context, q Vector, k int, opts []QueryOption) (T, error) {
 	start := time.Now()
-	res, dig, err := ix.reverseKRanks(ctx, q, k, opts)
-	ix.recordQuery(flight.OpReverseKRanks, k, start, dig, err)
+	res, dig, err := kind.run(ix, ctx, q, k, opts)
+	ix.recordQuery(kind.op, k, start, dig, err)
 	return res, err
 }
 
-func (ix *Index) reverseKRanks(ctx context.Context, q Vector, k int, opts []QueryOption) ([]Match, queryDigest, error) {
-	var dig queryDigest
+func (kind *queryKind[T]) run(ix *Index, ctx context.Context, q Vector, k int, opts []QueryOption) (res T, dig queryDigest, err error) {
 	cfg, err := resolveOptions(opts)
 	if err != nil {
-		return nil, dig, err
+		return res, dig, err
 	}
 	if err := ix.checkQuery(q, k); err != nil {
-		return nil, dig, err
+		return res, dig, err
 	}
 	dig.traceHi, dig.traceLo = cfg.tr.IDPair()
 	dig.sampled = cfg.tr.Sampled()
 	c := cfg.counters()
 	ac := ix.answers.Load()
 	if ac != nil && !cfg.noCache {
+		// Honour cancellation before serving from the cache, so a dead
+		// context never "succeeds" just because the answer was resident.
 		if err := ctx.Err(); err != nil {
-			return nil, dig, err
+			return res, dig, err
 		}
 		lsp := cfg.tr.StartSpan("cache.lookup")
-		if cached, seq, ok := ac.LookupKRanks(q, k); ok {
+		if cached, seq, ok := kind.lookup(ac, q, k); ok {
 			lsp.SetInt("hit", 1).SetInt("epoch", int64(seq)).End()
-			cfg.finish(c)
+			cfg.finish(c) // a hit performs no scan work: stats are zero
 			cfg.served(seq)
 			dig.epoch, dig.cacheHit = seq, true
-			out := make([]Match, len(cached))
-			for i, m := range cached {
-				out[i] = Match{WeightIndex: m.WeightIndex, Rank: m.Rank}
-			}
-			return out, dig, nil
+			return cached, dig, nil
 		}
 		lsp.SetInt("hit", 0).End()
 	}
+	// One snapshot load: the whole scan runs against a single epoch even
+	// if mutations land mid-query.
 	sp := cfg.tr.StartSpan("snapshot")
 	ep := ix.snap()
 	sp.SetInt("epoch", int64(ep.seq)).End()
 	dig.epoch = ep.seq
-	matches, err := ep.gir.ReverseKRanksOpts(ctx, q, k, algo.QueryOpts{
-		Workers:   cfg.resolveWorkers(ix),
-		Counters:  c,
-		Trace:     cfg.tr,
-		Reference: cfg.reference,
+	res, err = kind.scan(ep.gir, ctx, q, k, algo.QueryOpts{
+		Workers:  cfg.resolveWorkers(ix),
+		Counters: c,
+		Trace:    cfg.tr,
 	})
 	cfg.finish(c)
 	dig.cases(c)
 	if err != nil {
-		return nil, dig, err
+		return res, dig, err
 	}
 	cfg.served(ep.seq)
-	out := make([]Match, len(matches))
-	for i, m := range matches {
-		out[i] = Match{WeightIndex: m.WeightIndex, Rank: m.Rank}
-	}
 	if ac != nil && !cfg.noCache {
 		ssp := cfg.tr.StartSpan("cache.store")
-		stored := make([]cache.Match, len(out))
-		for i, m := range out {
-			stored[i] = cache.Match{WeightIndex: m.WeightIndex, Rank: m.Rank}
-		}
-		ac.StoreKRanks(q, k, ep.seq, stored)
+		kind.store(ac, q, k, ep.seq, res)
 		ssp.End()
 	}
-	return out, dig, nil
+	return res, dig, nil
 }

@@ -28,7 +28,7 @@ func scaleIndexPath(tb testing.TB, dir string, nP, nW, d int) string {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	ix, err := New(P, W, &Options{GridPartitions: 32, PackedBits: 6})
+	ix, err := New(P, W, &Options{GridPartitions: 32})
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -20,7 +20,7 @@
 # which prices the per-epoch subscription diff pass at 0/4/16/64 live
 # monitors — and the
 # tracing-overhead suite (BenchmarkGIRTraceOverhead) from
-# trace_bench_test.go, whose off/noop/sampled sub-benchmarks price the
+# trace_bench_test.go, whose off/sampled sub-benchmarks price the
 # span instrumentation so a regression on the untraced path is caught
 # in review — and the answer-cache suite (BenchmarkGIRCache*,
 # BenchmarkGIRMutationUnderQueryLoadCached) from cache_bench_test.go,

@@ -4,10 +4,8 @@ package gridrank
 // query path (picked up by scripts/bench.sh's BenchmarkGIR filter, so
 // the numbers are tracked in BENCH_gir.json):
 //
-//   - off:     the plain Ctx entrypoint — the pre-tracing baseline.
-//   - noop:    the Traced entrypoint with a nil trace, i.e. every
-//     instrumented call site paying the nil-receiver check. This is what
-//     an unsampled query costs and must stay within noise of off.
+//   - off:     a nil trace, i.e. every instrumented call site paying the
+//     nil-receiver check. This is what an unsampled query costs.
 //   - sampled: a rate-1 tracer recording the full span tree, the worst
 //     case a traced query pays.
 
@@ -26,14 +24,7 @@ func BenchmarkGIRTraceOverhead(b *testing.B) {
 
 	b.Run("off", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := gir.ReverseKRanksCtx(ctx, data.q, 100, 1, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("noop", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := gir.ReverseKRanksTraced(ctx, data.q, 100, 1, nil, nil); err != nil {
+			if _, err := gir.ReverseKRanksOpts(ctx, data.q, 100, algo.QueryOpts{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -42,7 +33,7 @@ func BenchmarkGIRTraceOverhead(b *testing.B) {
 		tracer := trace.New(trace.Config{SampleRate: 1, Capacity: 4})
 		for i := 0; i < b.N; i++ {
 			tr := tracer.Start("bench", trace.Parent{})
-			if _, err := gir.ReverseKRanksTraced(ctx, data.q, 100, 1, nil, tr); err != nil {
+			if _, err := gir.ReverseKRanksOpts(ctx, data.q, 100, algo.QueryOpts{Trace: tr}); err != nil {
 				b.Fatal(err)
 			}
 			tr.Finish()
