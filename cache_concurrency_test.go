@@ -6,19 +6,21 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
 
 // The concurrency side of the cache proof: N queriers race M mutators on
-// a cache-enabled index (run under -race in CI) and every answer's
-// served epoch must be at least the epoch of the last mutation that
-// could have affected that query — i.e. the cache never serves a stale
-// entry. Staleness is decided with the same dominance predicate the
-// cache uses (DESIGN.md §12): a product row affects a query unless it is
-// componentwise >= the query; preference mutations affect every query.
+// a cache-enabled index with a live subscription (run under -race in
+// CI), and every answer's served epoch must be at least the epoch of the
+// last mutation that could have affected that query — i.e. neither a
+// cached nor a subscribed entry is ever served stale. Staleness is
+// decided with the same dominance predicate the registry uses (DESIGN.md
+// §12): a product row affects a query unless it is componentwise >= the
+// query; preference mutations affect every query.
 
-// affectsQuery mirrors internal/cache.rowAffects for the test's oracle.
+// affectsQuery mirrors internal/answers.rowAffects for the test's oracle.
 func affectsQuery(row, q Vector) bool {
 	if len(row) != len(q) {
 		return true
@@ -70,6 +72,16 @@ func TestCacheConcurrencyNoStaleEpoch(t *testing.T) {
 		pool[i] = randProduct(rng, 3, 1.0)
 	}
 
+	// A live subscription on one pooled top-k key: its entry answers
+	// those lookups and must never serve a stale epoch either. Nobody
+	// drains it, so its buffer holds more events than the 160 mutations
+	// over 100 preferences can emit.
+	sub, err := ix.Subscribe(pool[0], 5, SubReverseTopK, 1<<16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+
 	// logMu serializes mutate -> Epoch() -> append, so each log record
 	// carries the exact epoch its mutation installed, and queriers read
 	// a prefix-consistent log.
@@ -81,6 +93,16 @@ func TestCacheConcurrencyNoStaleEpoch(t *testing.T) {
 	stop := make(chan struct{})
 	errc := make(chan error, 16)
 	var qwg, mwg sync.WaitGroup
+	// queried counts answered queries. Each mutator waits for a few after
+	// every mutation: it holds logMu across the mutation, and without the
+	// wait it can starve the queriers and finish before any query repeats,
+	// leaving the hit path untested.
+	var queried atomic.Int64
+	letQueriesRun := func() {
+		for target := queried.Load() + 8; queried.Load() < target && len(errc) == 0; {
+			runtime.Gosched()
+		}
+	}
 
 	for g := 0; g < 4; g++ {
 		qwg.Add(1)
@@ -120,6 +142,7 @@ func TestCacheConcurrencyNoStaleEpoch(t *testing.T) {
 					errc <- fmt.Errorf("stale cache serve: answer epoch %d < last affecting mutation epoch %d", served, floor)
 					return
 				}
+				queried.Add(1)
 			}
 		}(int64(100 + g))
 	}
@@ -153,6 +176,7 @@ func TestCacheConcurrencyNoStaleEpoch(t *testing.T) {
 				mutLog = append(mutLog, mutRecord{seq: ix.Epoch(), row: row})
 			}
 			logMu.Unlock()
+			letQueriesRun()
 		}
 	}()
 
@@ -176,6 +200,7 @@ func TestCacheConcurrencyNoStaleEpoch(t *testing.T) {
 			}
 			mutLog = append(mutLog, mutRecord{seq: ix.Epoch(), row: nil})
 			logMu.Unlock()
+			letQueriesRun()
 		}
 	}()
 
@@ -192,8 +217,8 @@ func TestCacheConcurrencyNoStaleEpoch(t *testing.T) {
 	if !ok {
 		t.Fatal("cache disabled mid-test")
 	}
-	if cs.Hits == 0 {
-		t.Fatalf("queriers never hit the cache: %+v", cs)
+	if cs.Hits == cs.MonitorHits || cs.MonitorHits == 0 {
+		t.Fatalf("queriers did not hit both cached and subscribed entries: %+v", cs)
 	}
 	if cs.Invalidations == 0 && cs.Flushes == 0 {
 		t.Fatalf("mutators never invalidated anything: %+v", cs)

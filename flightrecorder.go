@@ -1,7 +1,7 @@
 package gridrank
 
 // Flight-recorder wiring: the record helpers called from query.go,
-// mutate.go and subscriptions.go, and the public accessors the server
+// mutate.go and answers.go, and the public accessors the server
 // and the diagnostics tooling read. The recorder itself (internal/
 // flight) is an always-on bounded ring of fixed-size digests; every
 // helper here is nil-safe so a recorder disabled with a negative
@@ -87,38 +87,35 @@ func (ix *Index) recordQuery(op flight.Op, k int, start time.Time, dig queryDige
 }
 
 // mutProbe is the pre-install counter snapshot recordMutation diffs
-// against: cache sweep work and subscription diff evaluations are
-// global counters, so the install's own contribution is the delta
-// across the publish hooks. Taken under ix.mu, so no other install can
-// move the counters in between.
+// against: cache drops and subscription diff evaluations are global
+// counters, so the install's own contribution is the delta across its
+// publish. Taken under ix.mu, so no other install can move the counters
+// in between.
 type mutProbe struct {
-	cacheInvalidations int64
-	cacheFlushes       int64
-	subDiffEvals       int64
-	subLagged          int64
+	cacheDrops   int64
+	subDiffEvals int64
+	subLagged    int64
 }
 
 func (ix *Index) flightProbe() mutProbe {
-	if ix.fr == nil {
+	r := ix.answers.Load()
+	if ix.fr == nil || r == nil {
 		return mutProbe{}
 	}
-	var p mutProbe
-	if cs, ok := ix.CacheStats(); ok {
-		p.cacheInvalidations = cs.Invalidations
-		p.cacheFlushes = cs.Flushes
+	st := r.Stats()
+	return mutProbe{
+		cacheDrops:   st.Invalidations + st.Flushes,
+		subDiffEvals: st.PrefsDiffEvaluated + st.PrefsRebuildEvaluated,
+		subLagged:    st.Lagged,
 	}
-	ss := ix.SubscriptionStats()
-	p.subDiffEvals = ss.PrefsDiffEvaluated + ss.PrefsRebuildEvaluated
-	p.subLagged = ss.Lagged
-	return p
 }
 
 // recordMutation writes one epoch-install digest (and, when the install
 // cancelled lagged subscribers, one subscription digest). Called under
-// ix.mu after the publish hooks ran, so the counter deltas against pre
-// are exactly this install's work. start is the mutation entrypoint
-// time: the duration covers validation, epoch construction (derive or
-// rebuild) and both publish hooks — entry to published.
+// ix.mu after the publish, so the counter deltas against pre are
+// exactly this install's work. start is the mutation entrypoint time:
+// the duration covers validation, epoch construction (derive or
+// rebuild) and the publish — entry to published.
 func (ix *Index) recordMutation(op flight.Op, start time.Time, seq uint64, derived bool, pre mutProbe) {
 	if ix.fr == nil {
 		return
@@ -131,7 +128,7 @@ func (ix *Index) recordMutation(op flight.Op, start time.Time, seq uint64, deriv
 		Op:    op,
 		Epoch: seq,
 		DurNs: end.Sub(start).Nanoseconds(),
-		Aux1:  (post.cacheInvalidations - pre.cacheInvalidations) + (post.cacheFlushes - pre.cacheFlushes),
+		Aux1:  post.cacheDrops - pre.cacheDrops,
 		Aux2:  post.subDiffEvals - pre.subDiffEvals,
 	}
 	if derived {

@@ -44,11 +44,11 @@ import (
 	"time"
 
 	"gridrank/internal/algo"
-	"gridrank/internal/cache"
+	"gridrank/internal/answers"
 	"gridrank/internal/flight"
+	"gridrank/internal/grid"
 	"gridrank/internal/model"
 	"gridrank/internal/stats"
-	"gridrank/internal/sub"
 	"gridrank/internal/topk"
 	"gridrank/internal/trace"
 	"gridrank/internal/vec"
@@ -114,14 +114,16 @@ func fromCounters(c *stats.Counters) Stats {
 // Options configures index construction. The zero value (or nil) uses the
 // paper's defaults.
 type Options struct {
-	// GridPartitions is the per-axis partition count n of the Grid-index.
-	// Default 32, the paper's setting, sufficient for >99% worst-case
-	// model filtering up to d ≈ 20.
+	// GridPartitions is the per-axis partition count n of the Grid-index,
+	// at most 256 (an approximate cell must fit in a byte). Default 32,
+	// the paper's setting, sufficient for >99% worst-case model filtering
+	// up to d ≈ 20.
 	GridPartitions int
 
 	// TargetFiltering, when in (0, 1), sizes the grid automatically with
 	// Theorem 1 so the model's worst-case filtering performance exceeds
-	// it, overriding GridPartitions. For example 0.99 requests ε = 1%.
+	// it, overriding GridPartitions. For example 0.99 requests ε = 1%. A
+	// target whose grid would exceed 256 partitions is an error.
 	TargetFiltering float64
 
 	// Parallelism is the default number of worker goroutines a single
@@ -150,7 +152,7 @@ type Options struct {
 	// (flight.DefaultCapacity); a negative value disables the recorder
 	// entirely — intended for measurements, since recording costs zero
 	// allocations and a few atomic operations per query (see DESIGN.md
-	// §16).
+	// §15).
 	FlightCapacity int
 }
 
@@ -197,14 +199,12 @@ type Index struct {
 	// and publish it with one atomic store; queries load it once and run
 	// entirely against that snapshot.
 	cur atomic.Pointer[epoch]
-	// answers is the optional answer cache (nil = off); see
-	// answercache.go for the enablement and invalidation wiring.
-	answers atomic.Pointer[cache.Cache]
-	// subs is the subscription registry, created on first Subscribe
-	// (nil until then); see subscriptions.go for the publish hooks.
-	subs atomic.Pointer[sub.Registry]
+	// answers is the maintained-answer registry — the answer cache and
+	// the subscriptions — created on first EnableCache, Subscribe or
+	// SetSubscriberLimit (nil until then); see answers.go.
+	answers atomic.Pointer[answers.Registry]
 	// subTracer, when set, records diff-pass traces; guarded by mu
-	// (the hooks and SetSubscriptionTracer both hold it).
+	// (publish and SetSubscriptionTracer both hold it).
 	subTracer *trace.Tracer
 	// fr is the always-on flight recorder: a bounded ring of fixed-size
 	// digests, one per query / mutation / subscription event, recorded
@@ -336,6 +336,9 @@ func New(products, preferences []Vector, opts *Options) (*Index, error) {
 				return nil, fmt.Errorf("gridrank: sizing grid: %w", err)
 			}
 			n = auto
+		}
+		if n > grid.MaxPartitions {
+			return nil, fmt.Errorf("gridrank: %d grid partitions exceed the maximum %d", n, grid.MaxPartitions)
 		}
 	}
 	// rangeP is the max observed value; nudge it up so the top value maps

@@ -27,6 +27,10 @@ func mustIndex(t *testing.T, opts *Options) *Index {
 }
 
 func TestNewValidation(t *testing.T) {
+	// 4-d data, where a 0.999999 filtering target sizes the grid at 2048
+	// partitions, past the 256 a cell byte can address.
+	p4 := []Vector{{0.1, 0.2, 0.3, 0.4}, {0.4, 0.3, 0.2, 0.1}}
+	w4 := []Vector{{0.25, 0.25, 0.25, 0.25}}
 	cases := []struct {
 		name  string
 		p, w  []Vector
@@ -47,6 +51,9 @@ func TestNewValidation(t *testing.T) {
 		{"bad partitions", phones, users, &Options{GridPartitions: -1}, true},
 		{"bad target", phones, users, &Options{TargetFiltering: 1.5}, true},
 		{"auto target", phones, users, &Options{TargetFiltering: 0.99}, false},
+		{"max partitions", p4, w4, &Options{GridPartitions: 256}, false},
+		{"partitions above the cap", p4, w4, &Options{GridPartitions: 257}, true},
+		{"target sized above the cap", p4, w4, &Options{TargetFiltering: 0.999999}, true},
 		{"all-zero products", []Vector{{0, 0}}, users, nil, false},
 	}
 	for _, c := range cases {

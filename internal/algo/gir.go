@@ -657,8 +657,9 @@ func admitCutoff(h *topk.KRankHeap) int {
 // tightens as better weights are found; fanned out, the cutoff also
 // honours a shared watermark. Cancellation and tracing follow
 // ReverseTopKOpts; the scan span additionally records the final cutoff
-// (and, on the calling goroutine, the heap's admission count), which
-// together show how quickly the Algorithm 3 bound tightened.
+// — the answer's k-th rank + 1, whatever the worker count — and, on the
+// calling goroutine, the heap's admission count, which together show
+// how quickly the Algorithm 3 bound tightened.
 func (gr *GIR) ReverseKRanksOpts(ctx context.Context, q vec.Vector, k int, opts QueryOpts) ([]topk.Match, error) {
 	c, tr := opts.Counters, opts.Trace
 	if tr != nil && c == nil {
@@ -686,12 +687,14 @@ func (gr *GIR) ReverseKRanksOpts(ctx context.Context, q vec.Vector, k int, opts 
 		defer gr.putState(st)
 		st.heap.Reset(k)
 		_, admits := gr.scanKRanks(ctx, q, st, nil, c)
-		sp.SetInt("heap_admits", int64(admits)).SetInt("cutoff_final", cutoffAttr(admitCutoff(st.heap)))
+		sp.SetInt("heap_admits", int64(admits))
 	}
-	endScanSpan(sp, c, base, -1, -1, gr.wm.Len())
 	if err := ctx.Err(); err != nil {
+		endScanSpan(sp, c, base, -1, -1, gr.wm.Len())
 		return nil, err
 	}
+	// The scan span closes after the merge: its final cutoff is read off
+	// the merged answer, the one value every worker count agrees on.
 	msp := tr.StartSpan("merge")
 	var res []topk.Match
 	if st != nil {
@@ -700,6 +703,12 @@ func (gr *GIR) ReverseKRanksOpts(ctx context.Context, q vec.Vector, k int, opts 
 		res = mergeKRanks(union, k)
 	}
 	msp.SetInt("results", int64(len(res))).End()
+	cutoff := maxInt // fewer than k preferences: no bound
+	if len(res) == k {
+		cutoff = res[k-1].Rank + 1
+	}
+	sp.SetInt("cutoff_final", cutoffAttr(cutoff))
+	endScanSpan(sp, c, base, -1, -1, gr.wm.Len())
 	return res, nil
 }
 

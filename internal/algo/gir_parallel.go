@@ -331,7 +331,6 @@ func (gr *GIR) reverseKRanksFanOut(ctx context.Context, q vec.Vector, k, workers
 		return scanned
 	})
 	stats.Merge(c, cs)
-	sp.SetInt("cutoff_final", cutoffAttr(int(sh.wm.v.Load())))
 	var union []topk.Match
 	for w := range parts {
 		union = append(union, parts[w]...)

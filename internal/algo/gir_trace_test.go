@@ -7,6 +7,7 @@ import (
 
 	"gridrank/internal/dataset"
 	"gridrank/internal/stats"
+	"gridrank/internal/topk"
 	"gridrank/internal/trace"
 )
 
@@ -221,6 +222,32 @@ func TestTracedMatchesUntraced(t *testing.T) {
 					t.Fatalf("workers=%d q=%d: match %d differs: %+v vs %+v", workers, qi, i, traced[i], plain[i])
 				}
 			}
+		}
+	}
+}
+
+// TestKRanksCutoffFinalIndependentOfWorkers: the RKR scan span's
+// cutoff_final is the answer's k-th rank + 1 at every worker count, not
+// a fanned-out worker's local threshold.
+func TestKRanksCutoffFinalIndependentOfWorkers(t *testing.T) {
+	P := dataset.DianpingProducts(rand.New(rand.NewSource(1)), 2000)
+	W := dataset.DianpingWeights(rand.New(rand.NewSource(2)), 5000)
+	gir := NewGIR(P.Points, W.Points, P.Range, 32)
+	q := gir.Point(42)
+	const k = 5
+	for _, workers := range []int{1, 2, 4, 8} {
+		var res []topk.Match
+		_, spans := traceSpans(t, func(tr *trace.Trace) {
+			var err error
+			if res, err = gir.ReverseKRanksOpts(context.Background(), q, k, QueryOpts{Workers: workers, Trace: tr}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if len(res) != k {
+			t.Fatalf("workers=%d: %d matches, want %d", workers, len(res), k)
+		}
+		if got, want := spans["scan"].Attrs["cutoff_final"], int64(res[k-1].Rank+1); got != want {
+			t.Errorf("workers=%d: cutoff_final = %v, want the k-th rank + 1 = %d", workers, got, want)
 		}
 	}
 }

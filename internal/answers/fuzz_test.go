@@ -1,4 +1,4 @@
-package cache
+package answers
 
 import (
 	"encoding/binary"
@@ -6,8 +6,8 @@ import (
 	"testing"
 )
 
-// FuzzCacheKey drives the cache's key construction and invalidation
-// predicate with arbitrary — including non-finite and boundary — (q, k)
+// FuzzCacheKey drives the registry's key construction and the dominance
+// gate cached entries are dropped by, with arbitrary — including non-finite and boundary — (q, k)
 // inputs, asserting the two properties correctness hangs on:
 //
 //  1. Key isolation: a lookup with a query that is not bitwise
@@ -30,23 +30,23 @@ func FuzzCacheKey(f *testing.F) {
 		if !ok {
 			return
 		}
-		c := New(Config{Size: 4})
-		answer := []int{0, 2, 5}
-		c.StoreTopK(q, k, 1, answer)
-		c.StoreKRanks(q, k, 1, []Match{{WeightIndex: 1, Rank: 0}})
+		c := newCache(4)
+		answer := topK(0, 2, 5)
+		c.Store(KindTopK, k, q, 1, answer)
+		c.Store(KindKRanks, k, q, 1, []Member{{Pref: 1, Rank: 0}})
 
 		// Key isolation: a bitwise-different query must miss.
 		if !sameBits(q, q2) {
-			if _, _, hit := c.LookupTopK(q2, k); hit {
+			if _, _, hit := c.Lookup(KindTopK, k, q2); hit {
 				t.Fatalf("foreign hit: q2=%v aliased q=%v", q2, q)
 			}
 		}
-		if _, _, hit := c.LookupTopK(q, k+1); hit {
+		if _, _, hit := c.Lookup(KindTopK, k+1, q); hit {
 			t.Fatalf("hit for wrong k")
 		}
 
 		// The stored query must hit, and with the stored answer.
-		got, _, hit := c.LookupTopK(q, k)
+		got, _, hit := c.Lookup(KindTopK, k, q)
 		if !hit {
 			t.Fatalf("stored query missed: q=%v k=%d", q, k)
 		}
@@ -54,13 +54,15 @@ func FuzzCacheKey(f *testing.F) {
 			t.Fatalf("hit returned %v, stored %v", got, answer)
 		}
 
-		// Invalidation predicate: survive iff row dominates q.
-		c.OnProductMutation(2, row)
-		_, _, hit = c.LookupTopK(q, k)
+		// Invalidation predicate: survive iff row dominates q. The
+		// snapshot has no rank machinery: a product install must not
+		// evaluate any rank for a cached entry.
+		c.Publish(Snapshot{Seq: 2}, Change{Op: InsertProduct, Row: row})
+		_, _, hit = c.Lookup(KindTopK, k, q)
 		if want := dominates(row, q); hit != want {
 			t.Fatalf("after mutation row=%v q=%v: hit=%v, want %v", row, q, hit, want)
 		}
-		_, _, hit2 := c.LookupKRanks(q, k)
+		_, _, hit2 := c.Lookup(KindKRanks, k, q)
 		if hit2 != hit {
 			t.Fatalf("kinds disagree on invalidation: topk=%v kranks=%v", hit, hit2)
 		}

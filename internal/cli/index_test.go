@@ -99,12 +99,15 @@ func TestIndexMutationVerbs(t *testing.T) {
 
 func TestIndexVerbErrors(t *testing.T) {
 	out := buildIndexFile(t)
+	dir := filepath.Dir(out) // holds the p.grd and w.grd the index was built from
 	cases := [][]string{
 		nil,            // no verb
 		{"frobnicate"}, // unknown verb
 		{"build"},      // missing -products/-prefs
+		{"build", "-products", filepath.Join(dir, "p.grd"), "-prefs", filepath.Join(dir, "w.grd"),
+			"-grid", "300", "-out", filepath.Join(dir, "big.gri")}, // above the 256-partition cap
 		{"info", "-index", "/nonexistent/x.gri"},
-		{"insert-product", "-index", out}, // missing -v
+		{"insert-product", "-index", out},                       // missing -v
 		{"insert-product", "-index", out, "-v", "1,zap,3,4"},    // bad component
 		{"insert-product", "-index", out, "-v", "1,2"},          // wrong dim
 		{"insert-pref", "-index", out, "-v", "0.9,0.9,0.9,0.9"}, // not on simplex

@@ -330,3 +330,21 @@ func TestExpositionWithoutTraceSource(t *testing.T) {
 		t.Error("runtime telemetry missing")
 	}
 }
+
+// TestBuildInfoLayoutLine pins the gridrank_build_info sample byte for
+// byte: rows are always packed, so the layout label always reads
+// "packed", followed by the width and the kernel row block.
+func TestBuildInfoLayoutLine(t *testing.T) {
+	r := New()
+	r.SetLayout(Layout{BitsPerDim: 5, RowBlock: 4})
+	var sb strings.Builder
+	if err := r.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	goVersion, modVersion := buildInfoOnce()
+	want := `gridrank_build_info{go_version="` + goVersion + `",module_version="` + modVersion +
+		`",layout="packed",packed_bits="5",row_block="4"} 1` + "\n"
+	if !strings.Contains(sb.String(), want) {
+		t.Fatalf("scrape lacks the build_info line %q:\n%s", want, sb.String())
+	}
+}

@@ -104,9 +104,8 @@ type Registry struct {
 // package's Layout; the duplicate type keeps the import graph acyclic,
 // as with TraceCounts.
 type Layout struct {
-	Packed     bool // rows stored bit-packed
-	BitsPerDim int  // packed bits per dimension
-	RowBlock   int  // rows classified per kernel call
+	BitsPerDim int // packed bits per dimension
+	RowBlock   int // rows classified per kernel call
 }
 
 // SetLayout records the index's scan layout, surfaced as labels on
@@ -727,12 +726,8 @@ func writeRuntimeTelemetry(b *expoWriter, lay *Layout) {
 	goVersion, modVersion := buildInfoOnce()
 	b.family("gridrank_build_info", "gauge", "Build metadata; the value is always 1.")
 	if lay != nil {
-		layout := "float64"
-		if lay.Packed {
-			layout = "packed"
-		}
-		b.printf("gridrank_build_info{go_version=%q,module_version=%q,layout=%q,packed_bits=\"%d\",row_block=\"%d\"} 1\n",
-			goVersion, modVersion, layout, lay.BitsPerDim, lay.RowBlock)
+		b.printf("gridrank_build_info{go_version=%q,module_version=%q,layout=\"packed\",packed_bits=\"%d\",row_block=\"%d\"} 1\n",
+			goVersion, modVersion, lay.BitsPerDim, lay.RowBlock)
 	} else {
 		b.printf("gridrank_build_info{go_version=%q,module_version=%q} 1\n", goVersion, modVersion)
 	}

@@ -314,9 +314,7 @@ func NewWithConfig(ix *gridrank.Index, cfg Config) *Server {
 	}
 	// Layout is fixed at build time, so the labels are set once here.
 	lay := ix.Layout()
-	cfg.Metrics.SetLayout(metrics.Layout{
-		Packed: lay.Packed, BitsPerDim: lay.BitsPerDim, RowBlock: lay.RowBlock,
-	})
+	cfg.Metrics.SetLayout(metrics.Layout{BitsPerDim: lay.BitsPerDim, RowBlock: lay.RowBlock})
 	s := &Server{
 		ix:             ix,
 		mux:            http.NewServeMux(),

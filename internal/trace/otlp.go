@@ -16,7 +16,7 @@ package trace
 //     dropped and counted.
 //
 // The mapping from the in-process TraceData form is documented in
-// DESIGN.md §16 alongside the flight-recorder memory model.
+// DESIGN.md §15 alongside the flight-recorder memory model.
 
 import (
 	"bytes"

@@ -36,6 +36,7 @@ import (
 	"time"
 
 	"gridrank/internal/algo"
+	"gridrank/internal/answers"
 	"gridrank/internal/flight"
 	"gridrank/internal/vec"
 )
@@ -110,17 +111,14 @@ func nextPointEpoch(e *epoch, pm *vec.Matrix, derive func() *algo.GIR) (ne *epoc
 	return rebuildEpoch(e.seq+1, pm, e.wm, e.partitions()), false
 }
 
-// storeRebuilt publishes a from-scratch epoch over (pm, wm), flushes
-// the answer cache and recomputes subscriptions — the shared tail of
-// every batch mutation. Hook order is fixed: cache first, then the
-// subscription fan-out, both against the epoch just stored.
-// op and start feed the install's flight-recorder digest.
+// storeRebuilt publishes a from-scratch epoch over (pm, wm) — the
+// shared tail of every batch mutation. op and start feed the install's
+// flight-recorder digest.
 func (ix *Index) storeRebuilt(e *epoch, pm, wm *vec.Matrix, op flight.Op, start time.Time) {
 	pre := ix.flightProbe()
 	ne := rebuildEpoch(e.seq+1, pm, wm, e.partitions())
 	ix.cur.Store(ne)
-	ix.cacheFlush(ne.seq)
-	ix.subOnRebuild(ne)
+	ix.publish(ne, answers.Change{Op: answers.Rebuild})
 	ix.recordMutation(op, start, ne.seq, false, pre)
 }
 
@@ -150,8 +148,7 @@ func (ix *Index) InsertProductCtx(ctx context.Context, p Vector) (int, error) {
 	pm := e.pm.WithAppended(p)
 	ne, derived := nextPointEpoch(e, pm, func() *algo.GIR { return e.gir.WithAppendedPoint(pm) })
 	ix.cur.Store(ne)
-	ix.cacheOnProduct(ne.seq, p)
-	ix.subOnProduct(ne, p, true)
+	ix.publish(ne, answers.Change{Op: answers.InsertProduct, Row: p})
 	ix.recordMutation(flight.OpInsertProduct, start, ne.seq, derived, pre)
 	return id, nil
 }
@@ -180,14 +177,13 @@ func (ix *Index) DeleteProductCtx(ctx context.Context, i int) error {
 		return fmt.Errorf("%w: the index holds one product", ErrLastElement)
 	}
 	// The removed row's view into e's storage stays valid after the new
-	// epoch is built — epochs are immutable — so the cache sweep can use
-	// it directly.
+	// epoch is built — epochs are immutable — so publish can use it
+	// directly.
 	removed := e.pm.Row(i)
 	pm := e.pm.WithRemoved(i)
 	ne, derived := nextPointEpoch(e, pm, func() *algo.GIR { return e.gir.WithRemovedPoint(pm, i) })
 	ix.cur.Store(ne)
-	ix.cacheOnProduct(ne.seq, removed)
-	ix.subOnProduct(ne, removed, false)
+	ix.publish(ne, answers.Change{Op: answers.DeleteProduct, Row: removed})
 	ix.recordMutation(flight.OpDeleteProduct, start, ne.seq, derived, pre)
 	return nil
 }
@@ -230,8 +226,7 @@ func (ix *Index) InsertPreferenceCtx(ctx context.Context, w Vector) (int, error)
 		ne = rebuildEpoch(e.seq+1, e.pm, wm, e.partitions())
 	}
 	ix.cur.Store(ne)
-	ix.cacheOnPrefInsert(ne, id)
-	ix.subOnPrefInsert(ne, id)
+	ix.publish(ne, answers.Change{Op: answers.InsertPreference, Pref: id})
 	ix.recordMutation(flight.OpInsertPreference, start, ne.seq, derived, pre)
 	return id, nil
 }
@@ -258,15 +253,13 @@ func (ix *Index) DeletePreferenceCtx(ctx context.Context, i int) error {
 	if e.wm.Len() == 1 {
 		return fmt.Errorf("%w: the index holds one preference", ErrLastElement)
 	}
-	oldCount := e.wm.Len()
 	wm := e.wm.WithRemoved(i)
 	ne := &epoch{
 		seq: e.seq + 1, pm: e.pm, wm: wm, rangeP: e.rangeP,
 		gir: e.gir.WithRemovedWeight(wm, i),
 	}
 	ix.cur.Store(ne)
-	ix.cacheOnPrefDelete(ne.seq, i, oldCount)
-	ix.subOnPrefDelete(ne, i, oldCount)
+	ix.publish(ne, answers.Change{Op: answers.DeletePreference, Pref: i})
 	ix.recordMutation(flight.OpDeletePreference, start, ne.seq, true, pre)
 	return nil
 }

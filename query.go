@@ -24,7 +24,7 @@ import (
 	"time"
 
 	"gridrank/internal/algo"
-	"gridrank/internal/cache"
+	"gridrank/internal/answers"
 	"gridrank/internal/flight"
 	"gridrank/internal/stats"
 	"gridrank/internal/trace"
@@ -111,8 +111,8 @@ func WithoutCache() QueryOption {
 // WithServedEpoch directs the epoch the answer is valid against into e,
 // written exactly once when the query returns: the snapshot epoch when
 // the scan ran, or the cached entry's epoch on an answer-cache hit (a
-// cached answer may carry an older epoch than the current one — the
-// invalidation sweeps guarantee it is still exact; see DESIGN.md §12).
+// cached answer may carry an older epoch than the current one — every
+// install keeps it exact; see DESIGN.md §12).
 func WithServedEpoch(e *uint64) QueryOption {
 	return func(cfg *queryConfig) error {
 		if e == nil {
@@ -216,36 +216,68 @@ func (ix *Index) ReverseKRanksCtx(ctx context.Context, q Vector, k int, opts ...
 }
 
 // queryKind is everything that tells the two query kinds apart inside
-// runQuery: the flight-recorder op, the algo entrypoint, and the answer
-// cache's lookup and store, each converting to and from T, the kind's
-// public answer type.
+// runQuery: the flight-recorder op, the algo entrypoint, and the
+// registry's answer kind with the conversions between T, the kind's
+// public answer type, and the registry's answer form.
 type queryKind[T any] struct {
-	op     flight.Op
-	scan   func(gr *algo.GIR, ctx context.Context, q Vector, k int, o algo.QueryOpts) (T, error)
-	lookup func(ac *cache.Cache, q Vector, k int) (T, uint64, bool)
-	store  func(ac *cache.Cache, q Vector, k int, seq uint64, res T)
+	op         flight.Op
+	kind       answers.Kind
+	scan       func(gr *algo.GIR, ctx context.Context, q Vector, k int, o algo.QueryOpts) (T, error)
+	toAnswer   func(T) []answers.Member
+	fromAnswer func([]answers.Member) T
 }
 
 var topKQuery = queryKind[[]int]{
-	op:     flight.OpReverseTopK,
-	scan:   (*algo.GIR).ReverseTopKOpts,
-	lookup: (*cache.Cache).LookupTopK,
-	store:  (*cache.Cache).StoreTopK,
+	op:       flight.OpReverseTopK,
+	kind:     answers.KindTopK,
+	scan:     (*algo.GIR).ReverseTopKOpts,
+	toAnswer: topKMembers,
+	fromAnswer: func(ms []answers.Member) []int {
+		if len(ms) == 0 {
+			return nil // the scan's empty answer
+		}
+		out := make([]int, len(ms))
+		for i, m := range ms {
+			out[i] = m.Pref
+		}
+		return out
+	},
 }
 
 var kRanksQuery = queryKind[[]Match]{
-	op: flight.OpReverseKRanks,
+	op:   flight.OpReverseKRanks,
+	kind: answers.KindKRanks,
 	scan: func(gr *algo.GIR, ctx context.Context, q Vector, k int, o algo.QueryOpts) ([]Match, error) {
 		ms, err := gr.ReverseKRanksOpts(ctx, q, k, o)
 		return convertMatches[Match](ms), err
 	},
-	lookup: func(ac *cache.Cache, q Vector, k int) ([]Match, uint64, bool) {
-		ms, seq, ok := ac.LookupKRanks(q, k)
-		return convertMatches[Match](ms), seq, ok
+	toAnswer: kRanksMembers[Match],
+	fromAnswer: func(ms []answers.Member) []Match {
+		out := make([]Match, len(ms))
+		for i, m := range ms {
+			out[i] = Match{WeightIndex: m.Pref, Rank: m.Rank}
+		}
+		return out
 	},
-	store: func(ac *cache.Cache, q Vector, k int, seq uint64, res []Match) {
-		ac.StoreKRanks(q, k, seq, convertMatches[cache.Match](res))
-	},
+}
+
+// topKMembers is a reverse top-k answer in the registry's form.
+func topKMembers(ids []int) []answers.Member {
+	out := make([]answers.Member, len(ids))
+	for i, id := range ids {
+		out[i].Pref = id
+	}
+	return out
+}
+
+// kRanksMembers is a reverse k-ranks answer in the registry's form.
+func kRanksMembers[S ~struct{ WeightIndex, Rank int }](ms []S) []answers.Member {
+	out := make([]answers.Member, len(ms))
+	for i, m := range ms {
+		x := struct{ WeightIndex, Rank int }(m)
+		out[i] = answers.Member{Pref: x.WeightIndex, Rank: x.Rank}
+	}
+	return out
 }
 
 // convertMatches copies a k-ranks answer between the layers' identical
@@ -283,19 +315,20 @@ func (kind *queryKind[T]) run(ix *Index, ctx context.Context, q Vector, k int, o
 	dig.sampled = cfg.tr.Sampled()
 	c := cfg.counters()
 	ac := ix.answers.Load()
-	if ac != nil && !cfg.noCache {
+	cached := ac != nil && ac.CacheEnabled() && !cfg.noCache
+	if cached {
 		// Honour cancellation before serving from the cache, so a dead
 		// context never "succeeds" just because the answer was resident.
 		if err := ctx.Err(); err != nil {
 			return res, dig, err
 		}
 		lsp := cfg.tr.StartSpan("cache.lookup")
-		if cached, seq, ok := kind.lookup(ac, q, k); ok {
+		if ans, seq, ok := ac.Lookup(kind.kind, k, q); ok {
 			lsp.SetInt("hit", 1).SetInt("epoch", int64(seq)).End()
 			cfg.finish(c) // a hit performs no scan work: stats are zero
 			cfg.served(seq)
 			dig.epoch, dig.cacheHit = seq, true
-			return cached, dig, nil
+			return kind.fromAnswer(ans), dig, nil
 		}
 		lsp.SetInt("hit", 0).End()
 	}
@@ -316,9 +349,9 @@ func (kind *queryKind[T]) run(ix *Index, ctx context.Context, q Vector, k int, o
 		return res, dig, err
 	}
 	cfg.served(ep.seq)
-	if ac != nil && !cfg.noCache {
+	if cached {
 		ssp := cfg.tr.StartSpan("cache.store")
-		kind.store(ac, q, k, ep.seq, res)
+		ac.Store(kind.kind, k, q, ep.seq, kind.toAnswer(res))
 		ssp.End()
 	}
 	return res, dig, nil

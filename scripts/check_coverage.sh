@@ -1,6 +1,6 @@
 #!/bin/sh
 # check_coverage.sh fails when statement coverage over the correctness
-# core — the root package plus internal/{algo,grid,cache,server,sub} —
+# core — the root package plus internal/{algo,grid,answers,server} —
 # drops below the recorded baseline, so test debt shows up in the PR
 # that introduces it instead of accumulating silently.
 #
@@ -16,7 +16,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 BASELINE=92.0
-PKGS=". ./internal/algo ./internal/grid ./internal/cache ./internal/server ./internal/sub"
+PKGS=". ./internal/algo ./internal/grid ./internal/answers ./internal/server"
 
 PROFILE=$(mktemp)
 trap 'rm -f "$PROFILE"' EXIT

@@ -141,3 +141,35 @@ func TestSubscriptionTracing(t *testing.T) {
 		t.Fatalf("detached tracer still recorded (%d -> %d)", before, n)
 	}
 }
+
+// TestSubscribeCopiesQuery: the index keeps its own copy of the
+// subscribed point, so a caller reusing its buffer after Subscribe
+// changes neither what Query reports nor what the subscription watches.
+func TestSubscribeCopiesQuery(t *testing.T) {
+	ix := mustIndex(t, nil)
+	q := Vector{0.6, 0.7}
+	orig := append(Vector(nil), q...)
+	s, err := ix.Subscribe(q, 3, SubReverseTopK, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ps := append([]Vector(nil), phones...)
+	if want := bruteMembers(ps, users, orig, 3, SubReverseTopK); !sameMembers(s.Initial(), want) || len(want) == 0 {
+		t.Fatalf("initial %v, brute force %v", s.Initial(), want)
+	}
+	q[0], q[1] = 0.05, 0.05 // the caller reuses its buffer
+	if got := s.Query(); got[0] != orig[0] || got[1] != orig[1] {
+		t.Fatalf("Query() = %v after the caller's edit, want %v", got, orig)
+	}
+	s.Query()[0] = 9 // nor does editing what Query returns reach the index
+	p := Vector{0.3, 0.3}
+	if _, err := ix.InsertProduct(p); err != nil {
+		t.Fatal(err)
+	}
+	ps = append(ps, p)
+	want := expectedSubEvents(s.Initial(), bruteMembers(ps, users, orig, 3, SubReverseTopK), -1)
+	if got := drainSubEvents(s); len(want) == 0 || !sameSubEvents(got, want) {
+		t.Fatalf("events %v, brute force at the subscribed point %v", got, want)
+	}
+}
