@@ -254,7 +254,25 @@ func checkAnswerEquivalence(t *testing.T, cached, plain *Index, pool []Vector, p
 	}
 }
 
-// TestAnswerEquivalence is the headline harness: 50 random histories
+// equivSeeds are the seed bases of one family of harness histories:
+// trial i draws its shape from rng+i, its products from products+i and
+// its preferences from prefs+i.
+type equivSeeds struct{ rng, products, prefs int64 }
+
+// TestCacheEquivalence and TestSubscriptionEquivalence run the one
+// harness, runAnswerEquivalence, over two families of 50 histories each
+// (the seeds of the former cache and subscription harnesses). Every
+// history checks both: answers against the plain index and events
+// against brute force.
+func TestCacheEquivalence(t *testing.T) {
+	runAnswerEquivalence(t, equivSeeds{rng: 41000, products: 300, prefs: 1300})
+}
+
+func TestSubscriptionEquivalence(t *testing.T) {
+	runAnswerEquivalence(t, equivSeeds{rng: 63000, products: 700, prefs: 1700})
+}
+
+// runAnswerEquivalence is the headline harness: 50 random histories
 // with the cache on and live subscriptions of both kinds. Subscriptions
 // come and go mid-history — one attaches to an answer already cached,
 // one leaves its answer behind as a cached one — and after every epoch
@@ -262,23 +280,23 @@ func checkAnswerEquivalence(t *testing.T, cached, plain *Index, pool []Vector, p
 // plain index. Both kinds of entry must have answered lookups, and the
 // diff pass must have examined strictly fewer preference vectors than
 // recomputing the subscribed answers would have.
-func TestAnswerEquivalence(t *testing.T) {
+func runAnswerEquivalence(t *testing.T, seeds equivSeeds) {
 	const trials = 50
 	for trial := 0; trial < trials; trial++ {
 		trial := trial
 		t.Run("", func(t *testing.T) {
 			t.Parallel()
-			rng := rand.New(rand.NewSource(int64(41000 + trial)))
+			rng := rand.New(rand.NewSource(seeds.rng + int64(trial)))
 			d := 2 + rng.Intn(3)
 			dist := Uniform
 			if trial%2 == 1 {
 				dist = Clustered
 			}
-			P, err := GenerateProducts(int64(300+trial), dist, 15+rng.Intn(40), d)
+			P, err := GenerateProducts(seeds.products+int64(trial), dist, 15+rng.Intn(40), d)
 			if err != nil {
 				t.Fatal(err)
 			}
-			W, err := GeneratePreferences(int64(1300+trial), Uniform, 10+rng.Intn(25), d)
+			W, err := GeneratePreferences(seeds.prefs+int64(trial), Uniform, 10+rng.Intn(25), d)
 			if err != nil {
 				t.Fatal(err)
 			}
