@@ -2,6 +2,7 @@ package gridrank
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -277,9 +278,10 @@ func TestSubscriptionEquivalence(t *testing.T) {
 // come and go mid-history — one attaches to an answer already cached,
 // one leaves its answer behind as a cached one — and after every epoch
 // the events match the brute-force delta and every answer matches the
-// plain index. Both kinds of entry must have answered lookups, and the
-// diff pass must have examined strictly fewer preference vectors than
-// recomputing the subscribed answers would have.
+// plain index. The forced dominating insert must gate every subscribed
+// answer, both kinds of entry must have answered lookups, the diff pass
+// must have examined strictly fewer preference vectors than recomputing
+// the subscribed answers would have, and Close must close every channel.
 func runAnswerEquivalence(t *testing.T, seeds equivSeeds) {
 	const trials = 50
 	for trial := 0; trial < trials; trial++ {
@@ -330,13 +332,21 @@ func runAnswerEquivalence(t *testing.T, seeds equivSeeds) {
 			}
 			subscribe(pool[0], SubReverseTopK, equivK)
 			subscribe(pool[1], SubReverseKRanks, equivK)
+			// Two more on unpooled points at a random k, one of each kind.
 			subscribe(ps[rng.Intn(len(ps))], SubReverseTopK, 1+rng.Intn(5))
+			subscribe(ps[rng.Intn(len(ps))], SubReverseKRanks, 1+rng.Intn(5))
 			members := make([][]SubMember, len(subs))
 			for i, s := range subs {
 				members[i] = s.Initial()
 			}
+			// Subscriptions to one (q, k, kind) share an entry: the dominance
+			// gate counts subscribed answers, not subscriptions.
+			keys := map[string]bool{}
+			for _, s := range subs {
+				keys[fmt.Sprint(s.Kind(), s.K(), s.Query())] = true
+			}
 			checkAnswerEquivalence(t, cached, plain, pool, ps, ws)
-			for step := 0; step < 12; step++ {
+			for step := 0; step < 13; step++ {
 				prefDelete := -1
 				if step == 0 {
 					// Forced: a product componentwise above every point. The
@@ -359,6 +369,9 @@ func runAnswerEquivalence(t *testing.T, seeds equivSeeds) {
 						}
 					}
 					ps = append(ps, dom)
+					if st := cached.SubscriptionStats(); st.GatedSkips != int64(len(keys)) {
+						t.Fatalf("dominated insert gated %d subscribed answers, want all %d", st.GatedSkips, len(keys))
+					}
 				} else {
 					prefDelete = trialMutate(t, rng, cached, plain, &ps, &ws)
 				}
@@ -396,9 +409,6 @@ func runAnswerEquivalence(t *testing.T, seeds equivSeeds) {
 				t.Fatalf("lookups were not answered by both kinds of entry: %+v", cs)
 			}
 			st := cached.SubscriptionStats()
-			if st.GatedSkips == 0 {
-				t.Fatalf("the dominated insert gated no subscribed answer: %+v", st)
-			}
 			if st.PrefsDiffEvaluated >= st.PrefsDiffFullCost {
 				t.Fatalf("diff pass examined %d preference vectors, full recompute baseline %d: no saving",
 					st.PrefsDiffEvaluated, st.PrefsDiffFullCost)
@@ -408,6 +418,9 @@ func runAnswerEquivalence(t *testing.T, seeds equivSeeds) {
 			}
 			for _, s := range subs {
 				s.Close()
+				if _, ok := <-s.Events(); ok {
+					t.Fatalf("sub %d channel open after Close", s.ID())
+				}
 			}
 			if st := cached.SubscriptionStats(); st.Monitors != 0 {
 				t.Fatalf("subscriptions remain after Close: %+v", st)

@@ -6,6 +6,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"time"
 
 	"gridrank/internal/bits"
 	"gridrank/internal/grid"
@@ -693,8 +694,13 @@ func (gr *GIR) ReverseKRanksOpts(ctx context.Context, q vec.Vector, k int, opts 
 		endScanSpan(sp, c, base, -1, -1, gr.wm.Len())
 		return nil, err
 	}
-	// The scan span closes after the merge: its final cutoff is read off
-	// the merged answer, the one value every worker count agrees on.
+	// The scan span ends here, before the merge as RTK's does, but is
+	// recorded after it: its final cutoff is read off the merged answer,
+	// the one value every worker count agrees on.
+	var scanEnd time.Time
+	if sp != nil {
+		scanEnd = time.Now()
+	}
 	msp := tr.StartSpan("merge")
 	var res []topk.Match
 	if st != nil {
@@ -707,8 +713,8 @@ func (gr *GIR) ReverseKRanksOpts(ctx context.Context, q vec.Vector, k int, opts 
 	if len(res) == k {
 		cutoff = res[k-1].Rank + 1
 	}
-	sp.SetInt("cutoff_final", cutoffAttr(cutoff))
-	endScanSpan(sp, c, base, -1, -1, gr.wm.Len())
+	setScanAttrs(sp, c, base, -1, cutoff, gr.wm.Len())
+	sp.EndAt(scanEnd)
 	return res, nil
 }
 
@@ -732,11 +738,18 @@ func cutoffAttr(cut int) int64 {
 	return int64(cut)
 }
 
-// endScanSpan closes a scan (or scan.worker) span with the per-case
-// breakdown of Section 3.1 accumulated since base. dominators < 0 and
-// cutoff < 0 suppress the respective attribute (the RKR path reports its
-// cutoff evolution separately; workers do not own the dominator count).
+// endScanSpan closes a scan (or scan.worker) span with the attributes of
+// setScanAttrs.
 func endScanSpan(sp *trace.Span, c *stats.Counters, base stats.Counters, dominators, cutoff, weights int) {
+	setScanAttrs(sp, c, base, dominators, cutoff, weights)
+	sp.End()
+}
+
+// setScanAttrs attaches the per-case breakdown of Section 3.1
+// accumulated since base. dominators < 0 and cutoff < 0 suppress the
+// respective attribute (workers own neither the dominator count nor the
+// final cutoff); cutoff = maxInt, no bound, is recorded as -1.
+func setScanAttrs(sp *trace.Span, c *stats.Counters, base stats.Counters, dominators, cutoff, weights int) {
 	if sp == nil {
 		return
 	}
@@ -765,5 +778,4 @@ func endScanSpan(sp *trace.Span, c *stats.Counters, base stats.Counters, dominat
 		sp.SetInt("exact_scores", d.PairwiseMults)
 		sp.SetFloat("filter_rate", d.FilterRate())
 	}
-	sp.End()
 }

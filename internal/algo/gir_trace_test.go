@@ -228,7 +228,8 @@ func TestTracedMatchesUntraced(t *testing.T) {
 
 // TestKRanksCutoffFinalIndependentOfWorkers: the RKR scan span's
 // cutoff_final is the answer's k-th rank + 1 at every worker count, not
-// a fanned-out worker's local threshold.
+// a fanned-out worker's local threshold, and the scan span closes before
+// the merge span opens, as RTK's does, so a trace counts no time twice.
 func TestKRanksCutoffFinalIndependentOfWorkers(t *testing.T) {
 	P := dataset.DianpingProducts(rand.New(rand.NewSource(1)), 2000)
 	W := dataset.DianpingWeights(rand.New(rand.NewSource(2)), 5000)
@@ -246,8 +247,12 @@ func TestKRanksCutoffFinalIndependentOfWorkers(t *testing.T) {
 		if len(res) != k {
 			t.Fatalf("workers=%d: %d matches, want %d", workers, len(res), k)
 		}
-		if got, want := spans["scan"].Attrs["cutoff_final"], int64(res[k-1].Rank+1); got != want {
+		scan, merge := spans["scan"], spans["merge"]
+		if got, want := scan.Attrs["cutoff_final"], int64(res[k-1].Rank+1); got != want {
 			t.Errorf("workers=%d: cutoff_final = %v, want the k-th rank + 1 = %d", workers, got, want)
+		}
+		if end := scan.OffsetNs + scan.DurationNs; end > merge.OffsetNs {
+			t.Errorf("workers=%d: scan span ends at %dns, after the merge span opens at %dns", workers, end, merge.OffsetNs)
 		}
 	}
 }

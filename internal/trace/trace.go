@@ -490,7 +490,16 @@ func (s *Span) End() {
 	if s == nil {
 		return
 	}
-	rec := spanRecord{id: s.id, parent: s.parent, name: s.name, start: s.start, dur: time.Since(s.start), attrs: s.attrs}
+	s.EndAt(time.Now())
+}
+
+// EndAt is End for a span whose work finished at end, earlier than now:
+// attributes known only later are attached before it is recorded.
+func (s *Span) EndAt(end time.Time) {
+	if s == nil {
+		return
+	}
+	rec := spanRecord{id: s.id, parent: s.parent, name: s.name, start: s.start, dur: end.Sub(s.start), attrs: s.attrs}
 	tr := s.tr
 	tr.mu.Lock()
 	if !tr.finished {
