@@ -10,9 +10,11 @@ package gridrank
 // mutation returns. DESIGN.md §12 argues the soundness.
 
 import (
+	"context"
 	"fmt"
 	"time"
 
+	"gridrank/internal/algo"
 	"gridrank/internal/answers"
 	"gridrank/internal/flight"
 	"gridrank/internal/trace"
@@ -295,11 +297,15 @@ func snapshotOf(e *epoch) answers.Snapshot {
 		NumPrefs: e.wm.Len(),
 		RankOf:   e.gir.RankOf,
 		Pref:     e.wm.Row,
+		// A recompute is part of an epoch install, not a query, so its
+		// scan counts are dropped.
 		Answer: func(kind answers.Kind, q []float64, k int) []answers.Member {
 			if kind == answers.KindTopK {
-				return topKMembers(e.gir.ReverseTopK(q, k, nil))
+				ids, _, _ := e.gir.ReverseTopKOpts(context.Background(), q, k, algo.QueryOpts{})
+				return topKMembers(ids)
 			}
-			return kRanksMembers(e.gir.ReverseKRanks(q, k, nil))
+			ms, _, _ := e.gir.ReverseKRanksOpts(context.Background(), q, k, algo.QueryOpts{})
+			return kRanksMembers(ms)
 		},
 	}
 }

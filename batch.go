@@ -2,6 +2,7 @@ package gridrank
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -26,13 +27,18 @@ type BatchResult[T any] struct {
 // queries, and nesting the index default under every batch worker would
 // multiply the goroutine count to workers × Parallelism and oversubscribe
 // the CPUs. Pass WithWorkers explicitly in opts to override (opts apply
-// to every query in the batch, and later options win). WithStats is not
-// usable here — concurrent queries would race on the one sink. WithTrace
-// IS usable: a trace serializes span recording internally, so every
-// query of the batch lands its spans on the one trace.
+// to every query in the batch, and later options win).
+//
+// The per-call sinks, WithStats and WithServedEpoch, are rejected before
+// any query runs — every item would write the one sink concurrently —
+// and every result then carries the error. Each item's work counts are
+// still kept: like every query, it leaves its case breakdown in its
+// flight-recorder digest. WithTrace IS usable: a trace serializes span
+// recording internally, so every query of the batch lands its spans on
+// the one trace.
 func (ix *Index) ReverseTopKBatchCtx(ctx context.Context, queries []Vector, k, workers int, opts ...QueryOption) []BatchResult[[]int] {
 	opts = append([]QueryOption{WithWorkers(1)}, opts...)
-	return runBatch(ctx, queries, workers, func(q Vector) ([]int, error) {
+	return runBatch(ctx, queries, workers, opts, func(q Vector) ([]int, error) {
 		return ix.ReverseTopKCtx(ctx, q, k, opts...)
 	})
 }
@@ -42,7 +48,7 @@ func (ix *Index) ReverseTopKBatchCtx(ctx context.Context, queries []Vector, k, w
 // ReverseTopKBatchCtx.
 func (ix *Index) ReverseKRanksBatchCtx(ctx context.Context, queries []Vector, k, workers int, opts ...QueryOption) []BatchResult[[]Match] {
 	opts = append([]QueryOption{WithWorkers(1)}, opts...)
-	return runBatch(ctx, queries, workers, func(q Vector) ([]Match, error) {
+	return runBatch(ctx, queries, workers, opts, func(q Vector) ([]Match, error) {
 		return ix.ReverseKRanksCtx(ctx, q, k, opts...)
 	})
 }
@@ -57,7 +63,23 @@ func (ix *Index) ReverseKRanksBatch(queries []Vector, k, workers int, opts ...Qu
 	return ix.ReverseKRanksBatchCtx(context.Background(), queries, k, workers, opts...)
 }
 
-func runBatch[T any](ctx context.Context, queries []Vector, workers int, f func(Vector) (T, error)) []BatchResult[T] {
+// errBatchSink rejects a batch whose options carry a per-call sink.
+var errBatchSink = errors.New("gridrank: WithStats and WithServedEpoch cannot be used with a batch: its queries would write the one sink concurrently")
+
+// batchOptions checks the options every item of a batch will run with:
+// an invalid option or a per-call sink fails the whole batch up front.
+func batchOptions(opts []QueryOption) error {
+	cfg, err := resolveOptions(opts)
+	if err != nil {
+		return err
+	}
+	if cfg.stats != nil || cfg.servedEpoch != nil {
+		return errBatchSink
+	}
+	return nil
+}
+
+func runBatch[T any](ctx context.Context, queries []Vector, workers int, opts []QueryOption, f func(Vector) (T, error)) []BatchResult[T] {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -66,6 +88,12 @@ func runBatch[T any](ctx context.Context, queries []Vector, workers int, f func(
 	}
 	out := make([]BatchResult[T], len(queries))
 	if len(queries) == 0 {
+		return out
+	}
+	if err := batchOptions(opts); err != nil {
+		for i := range out {
+			out[i] = BatchResult[T]{Query: i, Err: err}
+		}
 		return out
 	}
 	done := ctx.Done()

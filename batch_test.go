@@ -2,6 +2,7 @@ package gridrank
 
 import (
 	"context"
+	"errors"
 	"runtime"
 	"strings"
 	"testing"
@@ -155,5 +156,39 @@ func TestBatchReportsPerQueryErrors(t *testing.T) {
 	}
 	if res[1].Err == nil || !strings.Contains(res[1].Err.Error(), "dimension") {
 		t.Errorf("bad query error = %v", res[1].Err)
+	}
+}
+
+// TestBatchRejectsPerCallSinks pins that a batch refuses WithStats and
+// WithServedEpoch before any item runs: its items run concurrently with
+// one option list, so they would all write the one sink at once (the
+// race detector flags exactly that). Every result carries the error and
+// the sinks stay untouched.
+func TestBatchRejectsPerCallSinks(t *testing.T) {
+	ix, P := batchIndex(t)
+	queries := make([]Vector, 64)
+	for i := range queries {
+		queries[i] = P[i%len(P)]
+	}
+	before := ix.FlightCounts().Queries
+	st := Stats{Refined: -1}
+	epoch := uint64(99)
+	for name, opt := range map[string]QueryOption{"stats": WithStats(&st), "epoch": WithServedEpoch(&epoch)} {
+		rtk := ix.ReverseTopKBatch(queries, 5, 4, opt)
+		rkr := ix.ReverseKRanksBatch(queries, 5, 4, WithWorkers(2), opt)
+		for i := range queries {
+			if rtk[i].Query != i || !errors.Is(rtk[i].Err, errBatchSink) || rtk[i].Value != nil {
+				t.Fatalf("%s: rtk[%d] = %+v, want errBatchSink", name, i, rtk[i])
+			}
+			if rkr[i].Query != i || !errors.Is(rkr[i].Err, errBatchSink) || rkr[i].Value != nil {
+				t.Fatalf("%s: rkr[%d] = %+v, want errBatchSink", name, i, rkr[i])
+			}
+		}
+	}
+	if st != (Stats{Refined: -1}) || epoch != 99 {
+		t.Fatalf("sinks written by a rejected batch: stats %+v, epoch %d", st, epoch)
+	}
+	if got := ix.FlightCounts().Queries; got != before {
+		t.Fatalf("a rejected batch ran %d queries", got-before)
 	}
 }

@@ -46,7 +46,9 @@ func TestFlightQueryDigests(t *testing.T) {
 	ctx := context.Background()
 	q := ix.snap().pm.Row(3)
 
-	// Plain query: recorded with zero case counts (no stats requested).
+	// Plain query: every scan counts, so the digest carries the case
+	// breakdown without WithStats — the same one a statted run of the
+	// same one-worker query reports.
 	if _, err := ix.ReverseTopKCtx(ctx, q, 10); err != nil {
 		t.Fatal(err)
 	}
@@ -57,12 +59,19 @@ func TestFlightQueryDigests(t *testing.T) {
 	if rec.K != 10 || rec.Epoch != 0 || rec.DurNs <= 0 {
 		t.Fatalf("record = %+v, want k=10 epoch=0 positive duration", rec)
 	}
-	if rec.Case1 != 0 || rec.Case2 != 0 || rec.Case3 != 0 {
-		t.Fatalf("record = %+v, want zero case counts without WithStats", rec)
+	if rec.Case1+rec.Case2+rec.Case3 == 0 {
+		t.Fatalf("record = %+v, want the scan's case counts", rec)
 	}
-
-	// Statted query: the scan's case breakdown lands in the digest.
+	plain := rec
 	var st Stats
+	if _, err := ix.ReverseTopKCtx(ctx, q, 10, WithStats(&st)); err != nil {
+		t.Fatal(err)
+	}
+	requireDigestCases(t, "plain", plain, st)
+	requireDigestCases(t, "statted", newestOf(t, ix, flight.ClassQuery), st)
+
+	// Statted reverse k-ranks: the scan's case breakdown lands in the
+	// digest.
 	if _, err := ix.ReverseKRanksCtx(ctx, q, 5, WithStats(&st)); err != nil {
 		t.Fatal(err)
 	}
@@ -70,9 +79,43 @@ func TestFlightQueryDigests(t *testing.T) {
 	if rec.Op != flight.OpReverseKRanks {
 		t.Fatalf("record = %+v, want reverse_kranks", rec)
 	}
-	if rec.Case1 != st.Case1Filtered || rec.Case2 != st.Case2Filtered || rec.Case3 != st.Refined {
-		t.Fatalf("record cases (%d,%d,%d) != stats (%d,%d,%d)",
-			rec.Case1, rec.Case2, rec.Case3, st.Case1Filtered, st.Case2Filtered, st.Refined)
+	requireDigestCases(t, "reverse k-ranks", rec, st)
+
+	// Traced and fanned-out queries record the cases WithStats reports
+	// for the same call.
+	tracer := trace.New(trace.Config{SampleRate: 1})
+	tr := tracer.Start("reverse_topk", trace.Parent{})
+	if _, err := ix.ReverseTopKCtx(ctx, q, 10, WithTrace(tr), WithStats(&st)); err != nil {
+		t.Fatal(err)
+	}
+	tr.Finish()
+	requireDigestCases(t, "traced", newestOf(t, ix, flight.ClassQuery), st)
+	if _, err := ix.ReverseKRanksCtx(ctx, q, 5, WithWorkers(4), WithStats(&st)); err != nil {
+		t.Fatal(err)
+	}
+	requireDigestCases(t, "4-worker", newestOf(t, ix, flight.ClassQuery), st)
+
+	// A batch item records the cases of the same query run alone at one
+	// worker (batch items scan on one worker each).
+	if res := ix.ReverseTopKBatch([]Vector{q}, 10, 2); res[0].Err != nil {
+		t.Fatal(res[0].Err)
+	}
+	rec = newestOf(t, ix, flight.ClassQuery)
+	if rec.Case1 != plain.Case1 || rec.Case2 != plain.Case2 || rec.Case3 != plain.Case3 {
+		t.Fatalf("batch item cases (%d,%d,%d) != one-worker query (%d,%d,%d)",
+			rec.Case1, rec.Case2, rec.Case3, plain.Case1, plain.Case2, plain.Case3)
+	}
+
+	// A cache hit performs no scan and records zeros.
+	cached := flightTestIndex(t, &Options{CacheSize: 16})
+	for i := 0; i < 2; i++ {
+		if _, err := cached.ReverseTopKCtx(ctx, q, 10); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rec = newestOf(t, cached, flight.ClassQuery)
+	if rec.Flags&flight.FlagCacheHit == 0 || rec.Case1 != 0 || rec.Case2 != 0 || rec.Case3 != 0 {
+		t.Fatalf("record = %+v, want a cache hit with zero case counts", rec)
 	}
 
 	// Validation error: still recorded, outcome error.
@@ -98,6 +141,20 @@ func TestFlightQueryDigests(t *testing.T) {
 	c := ix.FlightCounts()
 	if c.Queries < 4 || c.Recorded != c.Queries {
 		t.Fatalf("counts = %+v, want >= 4 query records", c)
+	}
+}
+
+// requireDigestCases checks that a query digest's Case-1/2/3 breakdown
+// is the one WithStats reported for the same call, and that it is not
+// empty.
+func requireDigestCases(t *testing.T, name string, rec flight.Record, st Stats) {
+	t.Helper()
+	if rec.Case1 != st.Case1Filtered || rec.Case2 != st.Case2Filtered || rec.Case3 != st.Refined {
+		t.Fatalf("%s: record cases (%d,%d,%d) != stats (%d,%d,%d)", name,
+			rec.Case1, rec.Case2, rec.Case3, st.Case1Filtered, st.Case2Filtered, st.Refined)
+	}
+	if rec.Case1+rec.Case2+rec.Case3 == 0 {
+		t.Fatalf("%s: record = %+v, want non-zero case counts", name, rec)
 	}
 }
 

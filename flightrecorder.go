@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"gridrank/internal/flight"
+	"gridrank/internal/stats"
 )
 
 // FlightRecords returns the flight recorder's resident digests, newest
@@ -32,11 +33,13 @@ func (ix *Index) FlightEnabled() bool { return ix.fr != nil }
 // back for flight recording. A plain value — it must never escape to
 // the heap, since the query path is pinned at zero allocations.
 type queryDigest struct {
-	epoch               uint64
-	case1, case2, case3 int64
-	traceHi, traceLo    uint64
-	cacheHit            bool
-	sampled             bool
+	epoch uint64
+	// work is the scan's own counter set: every scanned query's Case-1/2/3
+	// breakdown, zero on an answer-cache hit and before the scan.
+	work             stats.Counters
+	traceHi, traceLo uint64
+	cacheHit         bool
+	sampled          bool
 }
 
 // flightOutcome folds an error into the digest's outcome code.
@@ -55,9 +58,9 @@ func flightOutcome(err error) flight.Outcome {
 
 // recordQuery writes one query digest. Called exactly once per
 // ReverseTopKCtx / ReverseKRanksCtx call, including error returns.
-// Case1/2/3 are non-zero only when the caller requested stats — the
-// scan's counters are not collected otherwise, and recording must not
-// force the allocation that collecting them costs.
+// Case1/2/3 are the scan's own counts, so every scanned query records
+// its breakdown — batch items, traced and fanned-out queries alike — and
+// a cache hit records zeros.
 func (ix *Index) recordQuery(op flight.Op, k int, start time.Time, dig queryDigest, err error) {
 	if ix.fr == nil {
 		return
@@ -71,9 +74,9 @@ func (ix *Index) recordQuery(op flight.Op, k int, start time.Time, dig queryDige
 		K:       int32(k),
 		Epoch:   dig.epoch,
 		DurNs:   end.Sub(start).Nanoseconds(),
-		Case1:   dig.case1,
-		Case2:   dig.case2,
-		Case3:   dig.case3,
+		Case1:   dig.work.Case1Filtered,
+		Case2:   dig.work.Case2Filtered,
+		Case3:   dig.work.Refinements,
 		TraceHi: dig.traceHi,
 		TraceLo: dig.traceLo,
 	}

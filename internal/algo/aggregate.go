@@ -43,10 +43,12 @@ func (b *Brute) AggregateReverseRank(Q []vec.Vector, k int, c *stats.Counters) [
 // AggregateReverseRank (GIR) computes the same answer with Grid-index
 // filtering and a budgeted early exit: once the running aggregate of a
 // preference reaches the heap's admission threshold, the remaining bundle
-// members need not be ranked at all.
-func (gr *GIR) AggregateReverseRank(Q []vec.Vector, k int, c *stats.Counters) []AggMatch {
-	if c != nil {
-		defer func() { c.Queries++ }()
+// members need not be ranked at all. The scan counts its work as every
+// GIR scan does; the counts are added to sink when one is given.
+func (gr *GIR) AggregateReverseRank(Q []vec.Vector, k int, sink *stats.Counters) []AggMatch {
+	c := stats.Counters{Queries: 1}
+	if sink != nil {
+		defer func() { sink.Add(&c) }()
 	}
 	if k <= 0 || len(Q) == 0 {
 		return nil
@@ -72,7 +74,7 @@ func (gr *GIR) AggregateReverseRank(Q []vec.Vector, k int, c *stats.Counters) []
 				rejected = true
 				break
 			}
-			rnk, ok := gr.rankBounded(wi, q, remaining, doms[qi], scratch, c)
+			rnk, ok := gr.rankBounded(wi, q, remaining, doms[qi], scratch, &c)
 			if !ok {
 				rejected = true
 				break

@@ -64,14 +64,16 @@ func TestSequentialCancellationIsChunkBounded(t *testing.T) {
 		run  func(ctx context.Context, c *stats.Counters) error
 	}{
 		{"rtk", func(ctx context.Context, c *stats.Counters) error {
-			res, err := gir.ReverseTopKOpts(ctx, q, 10, QueryOpts{Workers: 1, Counters: c})
+			res, n, err := gir.ReverseTopKOpts(ctx, q, 10, QueryOpts{Workers: 1})
+			*c = n
 			if res != nil {
 				t.Errorf("cancelled RTK returned a partial answer: %v", res)
 			}
 			return err
 		}},
 		{"rkr", func(ctx context.Context, c *stats.Counters) error {
-			res, err := gir.ReverseKRanksOpts(ctx, q, 10, QueryOpts{Workers: 1, Counters: c})
+			res, n, err := gir.ReverseKRanksOpts(ctx, q, 10, QueryOpts{Workers: 1})
+			*c = n
 			if res != nil {
 				t.Errorf("cancelled RKR returned a partial answer: %v", res)
 			}
@@ -109,11 +111,13 @@ func TestParallelCancellationIsChunkBounded(t *testing.T) {
 		run  func(ctx context.Context, c *stats.Counters) error
 	}{
 		{"rtk", func(ctx context.Context, c *stats.Counters) error {
-			_, err := gir.ReverseTopKOpts(ctx, q, 10, QueryOpts{Workers: workers, Counters: c})
+			_, n, err := gir.ReverseTopKOpts(ctx, q, 10, QueryOpts{Workers: workers})
+			*c = n
 			return err
 		}},
 		{"rkr", func(ctx context.Context, c *stats.Counters) error {
-			_, err := gir.ReverseKRanksOpts(ctx, q, 10, QueryOpts{Workers: workers, Counters: c})
+			_, n, err := gir.ReverseKRanksOpts(ctx, q, 10, QueryOpts{Workers: workers})
+			*c = n
 			return err
 		}},
 	} {
@@ -143,10 +147,10 @@ func TestCancelledQueryLeaksNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 20; i++ {
 		ctx := newCountdownCtx(1 + i%4)
-		if _, err := gir.ReverseTopKOpts(ctx, q, 10, QueryOpts{Workers: 4}); err != context.Canceled {
+		if _, _, err := gir.ReverseTopKOpts(ctx, q, 10, QueryOpts{Workers: 4}); err != context.Canceled {
 			t.Fatalf("run %d: err = %v", i, err)
 		}
-		if _, err := gir.ReverseKRanksOpts(ctx, q, 10, QueryOpts{Workers: 4}); err != context.Canceled {
+		if _, _, err := gir.ReverseKRanksOpts(ctx, q, 10, QueryOpts{Workers: 4}); err != context.Canceled {
 			t.Fatalf("run %d: err = %v", i, err)
 		}
 	}
@@ -168,13 +172,15 @@ func TestExpiredDeadlineStopsBeforeScanning(t *testing.T) {
 	ctx, cancel := context.WithDeadline(context.Background(), time.Unix(0, 0))
 	defer cancel()
 	for _, workers := range []int{1, 4} {
-		var c stats.Counters
-		if _, err := gir.ReverseTopKOpts(ctx, q, 10, QueryOpts{Workers: workers, Counters: &c}); err != context.DeadlineExceeded {
+		_, c, err := gir.ReverseTopKOpts(ctx, q, 10, QueryOpts{Workers: workers})
+		if err != context.DeadlineExceeded {
 			t.Fatalf("workers=%d RTK err = %v, want DeadlineExceeded", workers, err)
 		}
-		if _, err := gir.ReverseKRanksOpts(ctx, q, 10, QueryOpts{Workers: workers, Counters: &c}); err != context.DeadlineExceeded {
+		_, c2, err := gir.ReverseKRanksOpts(ctx, q, 10, QueryOpts{Workers: workers})
+		if err != context.DeadlineExceeded {
 			t.Fatalf("workers=%d RKR err = %v, want DeadlineExceeded", workers, err)
 		}
+		c.Add(&c2)
 		if c.Filtered+c.Refinements != 0 {
 			t.Fatalf("workers=%d: expired context still scanned %d weights", workers, c.Filtered+c.Refinements)
 		}
@@ -191,14 +197,14 @@ func TestCtxAnswersMatchPlainCalls(t *testing.T) {
 	wantRTK := gir.ReverseTopK(q, 10, nil)
 	wantRKR := gir.ReverseKRanks(q, 10, nil)
 	for _, workers := range []int{1, 2, 4, 8} {
-		gotRTK, err := gir.ReverseTopKOpts(ctx, q, 10, QueryOpts{Workers: workers})
+		gotRTK, _, err := gir.ReverseTopKOpts(ctx, q, 10, QueryOpts{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !equalInts(wantRTK, gotRTK) {
 			t.Fatalf("workers=%d: RTK %v != %v", workers, gotRTK, wantRTK)
 		}
-		gotRKR, err := gir.ReverseKRanksOpts(ctx, q, 10, QueryOpts{Workers: workers})
+		gotRKR, _, err := gir.ReverseKRanksOpts(ctx, q, 10, QueryOpts{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}

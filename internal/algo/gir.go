@@ -285,12 +285,13 @@ func (gr *GIR) WeightGroups() int { return gr.wg.Groups() }
 // scan order. The rare paths (first-time dominance sweeps, multi-member
 // refinement) live in noinline helpers below to keep their state out of
 // this frame.
+//
+// Every call counts its work into c, the query's (or the worker's)
+// counter set, with the per-group definitions of DESIGN.md §9.
 func (gr *GIR) rankBounded(wi int, q vec.Vector, cutoff int, dom *domin, scratch *girScratch, c *stats.Counters) (int, bool) {
 	w := gr.wm.Row(wi)
 	fq := vec.Dot(w, q)
-	if c != nil {
-		c.PairwiseMults++
-	}
+	c.PairwiseMults++
 	rnk := dom.count
 	if rnk >= cutoff {
 		return cutoff, false
@@ -328,11 +329,19 @@ func (gr *GIR) rankBounded(wi int, q vec.Vector, cutoff int, dom *domin, scratch
 		cs4 := uint32(0)
 		if cnt == RowBlock {
 			cs4 = classify4(words, int(gs[0])*wpr, int(gs[1])*wpr, int(gs[2])*wpr, int(gs[3])*wpr, d, bnd, fq)
-			// All four rows Case 2 is the scan's most common no-op block:
-			// q precedes every member, nothing counts, nothing refines.
-			// Without counters the whole block can be dropped on one
-			// compare instead of four unpredictable per-group branches.
-			if cs4 == allCaseAfter && c == nil {
+			// All four rows Case 2 is the scan's most common block: q
+			// precedes every member, nothing refines and rnk does not
+			// move. It is counted whole and dropped on one compare
+			// instead of four unpredictable per-group branches. No
+			// dominator can be observed between the gather and here, so
+			// the gathered groups are all still live and their live
+			// counts are exactly what the per-group path would add.
+			if cs4 == allCaseAfter {
+				live := int64(groupLive[gs[0]] + groupLive[gs[1]] + groupLive[gs[2]] + groupLive[gs[3]])
+				c.BoundSums += RowBlock
+				c.ApproxVisited += RowBlock
+				c.Filtered += live
+				c.Case2Filtered += live
 				continue
 			}
 		}
@@ -344,20 +353,16 @@ func (gr *GIR) rankBounded(wi int, q vec.Vector, cutoff int, dom *domin, scratch
 				// members are already counted into rnk.
 				continue
 			}
-			if c != nil {
-				c.BoundSums++
-				c.ApproxVisited++
-			}
+			c.BoundSums++
+			c.ApproxVisited++
 			cs := int32(cs4 & 0xff)
 			if cs == 0 {
 				cs = classifyPackedRow(words[gi*wpr:(gi+1)*wpr], cpw, b, d, bnd, fq)
 			}
 			if cs == caseBefore { // Case 1: the whole group precedes q
 				rnk += live
-				if c != nil {
-					c.Filtered += int64(live)
-					c.Case1Filtered += int64(live)
-				}
+				c.Filtered += int64(live)
+				c.Case1Filtered += int64(live)
 				// Dominance-test the members once per query (memoized);
 				// after the group is fully checked this branch is two
 				// loads.
@@ -377,11 +382,9 @@ func (gr *GIR) rankBounded(wi int, q vec.Vector, cutoff int, dom *domin, scratch
 				if pj := int(single[gi]); pj >= 0 {
 					// Singleton: live > 0 already proves the lone member is
 					// not a known dominator, so the dom.has load is skipped.
-					if c != nil {
-						c.PairwiseMults++
-						c.Refinements++
-						c.PointsVisited++
-					}
+					c.PairwiseMults++
+					c.Refinements++
+					c.PointsVisited++
 					p := gr.pm.Row(pj)
 					if vec.Dot(w, p) < fq {
 						rnk++
@@ -398,7 +401,7 @@ func (gr *GIR) rankBounded(wi int, q vec.Vector, cutoff int, dom *domin, scratch
 				if rnk, ok = gr.refineGroup(gi, w, q, fq, rnk, cutoff, dom, c); !ok {
 					return cutoff, false
 				}
-			} else if c != nil { // Case 2: q precedes the whole group
+			} else { // Case 2: q precedes the whole group
 				c.Filtered += int64(live)
 				c.Case2Filtered += int64(live)
 			}
@@ -442,11 +445,9 @@ func (gr *GIR) refineGroup(g int, w, q vec.Vector, fq float64, rnk, cutoff int, 
 		if dom.has(pj) {
 			continue
 		}
-		if c != nil {
-			c.PairwiseMults++
-			c.Refinements++
-			c.PointsVisited++
-		}
+		c.PairwiseMults++
+		c.Refinements++
+		c.PointsVisited++
 		p := gr.pm.Row(pj)
 		if vec.Dot(w, p) < fq {
 			rnk++
@@ -547,80 +548,78 @@ func (gr *GIR) getState() *queryState {
 func (gr *GIR) putState(st *queryState) { gr.pool.Put(st) }
 
 // QueryOpts bundles the per-query execution knobs of ReverseTopKOpts and
-// ReverseKRanksOpts. The zero value runs an untraced, uncounted query
-// on the calling goroutine.
+// ReverseKRanksOpts. The zero value runs an untraced query on the
+// calling goroutine.
 type QueryOpts struct {
 	// Workers shards W across that many goroutines; 0 or 1 runs the scan
 	// on the calling goroutine, negative means GOMAXPROCS. Answers are
 	// identical at every worker count.
 	Workers int
-	// Counters, when non-nil, accumulates the per-case scan breakdown.
-	Counters *stats.Counters
 	// Trace, when recording, receives scan/merge spans.
 	Trace *trace.Trace
 }
 
 // ReverseTopK is GIRTop-k (Algorithm 2) on the calling goroutine — the
-// RTKAlgorithm form shared with the baselines. ReverseTopKOpts adds
-// cancellation, workers and tracing.
-func (gr *GIR) ReverseTopK(q vec.Vector, k int, c *stats.Counters) []int {
-	res, _ := gr.ReverseTopKOpts(context.Background(), q, k, QueryOpts{Counters: c})
+// RTKAlgorithm form shared with the baselines, whose counter sink is
+// optional. The scan counts either way; the query's counts are added
+// to sink when one is given. ReverseTopKOpts adds cancellation, workers
+// and tracing.
+func (gr *GIR) ReverseTopK(q vec.Vector, k int, sink *stats.Counters) []int {
+	res, n, _ := gr.ReverseTopKOpts(context.Background(), q, k, QueryOpts{})
+	if sink != nil {
+		sink.Add(&n)
+	}
 	return res
 }
 
 // ReverseTopKOpts is GIRTop-k (Algorithm 2) under a context with the
-// execution knobs gathered in QueryOpts.
+// execution knobs gathered in QueryOpts. It returns the answer, the
+// query's work counts (Section 3.1's per-case breakdown, with Queries
+// = 1) and the context's error, if any.
 //
 // Cancellation: the scan polls ctx between preference chunks (at most
 // cancelChunk weights) on every goroutine, so a cancelled or expired
 // context stops the query within one chunk and returns ctx.Err() with no
-// workers left behind; a cancelled query returns a nil answer.
+// workers left behind; a cancelled query returns a nil answer and the
+// counts of the work it did.
 //
 // Tracing: when opts.Trace is recording, the scan and result merge emit
-// spans carrying the per-case breakdown of Section 3.1 (Case-1 adds,
-// Case-2 skips, Case-3 refinements, the filter rate and the dominator
-// count), plus one scan.worker child per goroutine when fanned out. A
-// nil trace is the common case and adds no work to the query path.
-func (gr *GIR) ReverseTopKOpts(ctx context.Context, q vec.Vector, k int, opts QueryOpts) ([]int, error) {
-	c, tr := opts.Counters, opts.Trace
-	if tr != nil && c == nil {
-		// A traced query needs the per-case counters for its span
-		// attributes even when the caller did not ask for stats.
-		c = new(stats.Counters)
-	}
-	if c != nil {
-		defer func() { c.Queries++ }()
-	}
+// spans carrying the query's per-case breakdown (Case-1 adds, Case-2
+// skips, Case-3 refinements, the filter rate and the dominator count),
+// plus one scan.worker child per goroutine when fanned out. A nil trace
+// is the common case and adds no work to the query path.
+func (gr *GIR) ReverseTopKOpts(ctx context.Context, q vec.Vector, k int, opts QueryOpts) ([]int, stats.Counters, error) {
+	c := stats.Counters{Queries: 1}
 	if k <= 0 {
-		return nil, nil
+		return nil, c, nil
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, c, err
 	}
-	sp := tr.StartSpan("scan")
-	base := counterBaseline(sp, c)
+	sp := opts.Trace.StartSpan("scan")
 	var (
 		res        []int
 		dominators int
 	)
 	if workers := normalizeWorkers(opts.Workers, gr.wm.Len()); workers > 1 {
-		res, dominators = gr.reverseTopKFanOut(ctx, q, k, workers, sp, c)
+		res, dominators = gr.reverseTopKFanOut(ctx, q, k, workers, sp, &c)
 	} else {
 		st := gr.getState()
 		defer gr.putState(st)
-		gr.scanTopK(ctx, q, k, st, nil, c)
+		gr.scanTopK(ctx, q, k, st, nil, &c)
 		res, dominators = st.res, st.dom.count
 	}
-	endScanSpan(sp, c, base, dominators, k, gr.wm.Len())
+	setScanAttrs(sp, &c, dominators, k, gr.wm.Len())
+	sp.End()
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, c, err
 	}
 	// Algorithm 2 lines 7–8: k distinct dominators imply every weight
 	// ranks q at k or worse, so the answer is empty.
 	if dominators >= k || len(res) == 0 {
-		return nil, nil
+		return nil, c, nil
 	}
-	msp := tr.StartSpan("merge")
+	msp := opts.Trace.StartSpan("merge")
 	// The visit order is cell-sorted (and sharded when fanned out); the
 	// answer set is order-independent (DESIGN.md §9) and returned
 	// ascending.
@@ -628,14 +627,18 @@ func (gr *GIR) ReverseTopKOpts(ctx context.Context, q vec.Vector, k int, opts Qu
 	out := make([]int, len(res))
 	copy(out, res)
 	msp.SetInt("results", int64(len(out))).End()
-	return out, nil
+	return out, c, nil
 }
 
 // ReverseKRanks is GIRk-Rank (Algorithm 3) on the calling goroutine —
-// the RKRAlgorithm form shared with the baselines. ReverseKRanksOpts
-// adds cancellation, workers and tracing.
-func (gr *GIR) ReverseKRanks(q vec.Vector, k int, c *stats.Counters) []topk.Match {
-	res, _ := gr.ReverseKRanksOpts(context.Background(), q, k, QueryOpts{Counters: c})
+// the RKRAlgorithm form shared with the baselines, with ReverseTopK's
+// optional sink. ReverseKRanksOpts adds cancellation, workers and
+// tracing.
+func (gr *GIR) ReverseKRanks(q vec.Vector, k int, sink *stats.Counters) []topk.Match {
+	res, n, _ := gr.ReverseKRanksOpts(context.Background(), q, k, QueryOpts{})
+	if sink != nil {
+		sink.Add(&n)
+	}
 	return res
 }
 
@@ -656,43 +659,37 @@ func admitCutoff(h *topk.KRankHeap) int {
 // execution knobs gathered in QueryOpts: the size-k heap's worst
 // retained rank is passed to GInTop-k as the filtering cutoff and
 // tightens as better weights are found; fanned out, the cutoff also
-// honours a shared watermark. Cancellation and tracing follow
-// ReverseTopKOpts; the scan span additionally records the final cutoff
-// — the answer's k-th rank + 1, whatever the worker count — and, on the
-// calling goroutine, the heap's admission count, which together show
-// how quickly the Algorithm 3 bound tightened.
-func (gr *GIR) ReverseKRanksOpts(ctx context.Context, q vec.Vector, k int, opts QueryOpts) ([]topk.Match, error) {
-	c, tr := opts.Counters, opts.Trace
-	if tr != nil && c == nil {
-		c = new(stats.Counters)
-	}
-	if c != nil {
-		defer func() { c.Queries++ }()
-	}
+// honours a shared watermark. Results, counts, cancellation and tracing
+// follow ReverseTopKOpts; the scan span additionally records the final
+// cutoff — the answer's k-th rank + 1, whatever the worker count — and,
+// on the calling goroutine, the heap's admission count, which together
+// show how quickly the Algorithm 3 bound tightened.
+func (gr *GIR) ReverseKRanksOpts(ctx context.Context, q vec.Vector, k int, opts QueryOpts) ([]topk.Match, stats.Counters, error) {
+	c := stats.Counters{Queries: 1}
 	if k <= 0 {
-		return nil, nil
+		return nil, c, nil
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, c, err
 	}
-	sp := tr.StartSpan("scan")
-	base := counterBaseline(sp, c)
+	sp := opts.Trace.StartSpan("scan")
 	var (
 		st    *queryState  // the inline scan's state
 		union []topk.Match // the fanned-out workers' local answers
 	)
 	if workers := normalizeWorkers(opts.Workers, gr.wm.Len()); workers > 1 {
-		union = gr.reverseKRanksFanOut(ctx, q, k, workers, sp, c)
+		union = gr.reverseKRanksFanOut(ctx, q, k, workers, sp, &c)
 	} else {
 		st = gr.getState()
 		defer gr.putState(st)
 		st.heap.Reset(k)
-		_, admits := gr.scanKRanks(ctx, q, st, nil, c)
+		_, admits := gr.scanKRanks(ctx, q, st, nil, &c)
 		sp.SetInt("heap_admits", int64(admits))
 	}
 	if err := ctx.Err(); err != nil {
-		endScanSpan(sp, c, base, -1, -1, gr.wm.Len())
-		return nil, err
+		setScanAttrs(sp, &c, -1, -1, gr.wm.Len())
+		sp.End()
+		return nil, c, err
 	}
 	// The scan span ends here, before the merge as RTK's does, but is
 	// recorded after it: its final cutoff is read off the merged answer,
@@ -701,7 +698,7 @@ func (gr *GIR) ReverseKRanksOpts(ctx context.Context, q vec.Vector, k int, opts 
 	if sp != nil {
 		scanEnd = time.Now()
 	}
-	msp := tr.StartSpan("merge")
+	msp := opts.Trace.StartSpan("merge")
 	var res []topk.Match
 	if st != nil {
 		res = st.heap.Results()
@@ -713,20 +710,9 @@ func (gr *GIR) ReverseKRanksOpts(ctx context.Context, q vec.Vector, k int, opts 
 	if len(res) == k {
 		cutoff = res[k-1].Rank + 1
 	}
-	setScanAttrs(sp, c, base, -1, cutoff, gr.wm.Len())
+	setScanAttrs(sp, &c, -1, cutoff, gr.wm.Len())
 	sp.EndAt(scanEnd)
-	return res, nil
-}
-
-// counterBaseline snapshots c when the scan span is live, so the span's
-// attributes report this query's deltas even when the caller accumulates
-// counters across queries. The copy is skipped entirely on untraced
-// queries.
-func counterBaseline(sp *trace.Span, c *stats.Counters) stats.Counters {
-	if sp == nil || c == nil {
-		return stats.Counters{}
-	}
-	return *c
+	return res, c, nil
 }
 
 // cutoffAttr maps the sentinel "no bound" cutoff to -1 for span
@@ -738,18 +724,12 @@ func cutoffAttr(cut int) int64 {
 	return int64(cut)
 }
 
-// endScanSpan closes a scan (or scan.worker) span with the attributes of
-// setScanAttrs.
-func endScanSpan(sp *trace.Span, c *stats.Counters, base stats.Counters, dominators, cutoff, weights int) {
-	setScanAttrs(sp, c, base, dominators, cutoff, weights)
-	sp.End()
-}
-
-// setScanAttrs attaches the per-case breakdown of Section 3.1
-// accumulated since base. dominators < 0 and cutoff < 0 suppress the
-// respective attribute (workers own neither the dominator count nor the
-// final cutoff); cutoff = maxInt, no bound, is recorded as -1.
-func setScanAttrs(sp *trace.Span, c *stats.Counters, base stats.Counters, dominators, cutoff, weights int) {
+// setScanAttrs attaches c, the per-case breakdown of Section 3.1 the
+// span's scan (or scan.worker) counted, to sp. dominators < 0 and
+// cutoff < 0 suppress the respective attribute (workers own neither the
+// dominator count nor the final cutoff); cutoff = maxInt, no bound, is
+// recorded as -1.
+func setScanAttrs(sp *trace.Span, c *stats.Counters, dominators, cutoff, weights int) {
 	if sp == nil {
 		return
 	}
@@ -762,20 +742,10 @@ func setScanAttrs(sp *trace.Span, c *stats.Counters, base stats.Counters, domina
 	if cutoff >= 0 {
 		sp.SetInt("cutoff_final", cutoffAttr(cutoff))
 	}
-	if c != nil {
-		d := stats.Counters{
-			Case1Filtered: c.Case1Filtered - base.Case1Filtered,
-			Case2Filtered: c.Case2Filtered - base.Case2Filtered,
-			Filtered:      c.Filtered - base.Filtered,
-			Refinements:   c.Refinements - base.Refinements,
-			BoundSums:     c.BoundSums - base.BoundSums,
-			PairwiseMults: c.PairwiseMults - base.PairwiseMults,
-		}
-		sp.SetInt("case1_filtered", d.Case1Filtered)
-		sp.SetInt("case2_filtered", d.Case2Filtered)
-		sp.SetInt("case3_refined", d.Refinements)
-		sp.SetInt("bound_sums", d.BoundSums)
-		sp.SetInt("exact_scores", d.PairwiseMults)
-		sp.SetFloat("filter_rate", d.FilterRate())
-	}
+	sp.SetInt("case1_filtered", c.Case1Filtered)
+	sp.SetInt("case2_filtered", c.Case2Filtered)
+	sp.SetInt("case3_refined", c.Refinements)
+	sp.SetInt("bound_sums", c.BoundSums)
+	sp.SetInt("exact_scores", c.PairwiseMults)
+	sp.SetFloat("filter_rate", c.FilterRate())
 }

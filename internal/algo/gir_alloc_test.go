@@ -41,14 +41,14 @@ func TestSteadyStateAllocations(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	if got := testing.AllocsPerRun(20, func() {
-		if _, err := gir.ReverseKRanksOpts(ctx, q, 10, QueryOpts{Workers: 1}); err != nil {
+		if _, _, err := gir.ReverseKRanksOpts(ctx, q, 10, QueryOpts{Workers: 1}); err != nil {
 			t.Fatal(err)
 		}
 	}); got > 2 {
 		t.Errorf("cancellable-context RKR allocates %v times per query, want <= 2", got)
 	}
 	if got := testing.AllocsPerRun(20, func() {
-		if _, err := gir.ReverseTopKOpts(ctx, q, 10, QueryOpts{Workers: 1}); err != nil {
+		if _, _, err := gir.ReverseTopKOpts(ctx, q, 10, QueryOpts{Workers: 1}); err != nil {
 			t.Fatal(err)
 		}
 	}); got > 2 {

@@ -24,8 +24,9 @@ package algo
 // the cells, so it reads the point matrix. Blocks are gathered from
 // *live* groups only, in scan order, so fully-dominated rows are never
 // classified, and counters are incremented only for groups still live
-// at consume time, so every stats.Counters field equals a one-group-at-
-// a-time scan's. The only speculation left is a group killed by a
+// at consume time (an all-Case-2 block is counted whole, its groups all
+// still live), so every stats.Counters field equals a one-group-at-a-
+// time scan's. The only speculation left is a group killed by a
 // dominator observed between gather and consume: its classification is
 // wasted arithmetic, but it is skipped unconsumed and uncharged.
 
@@ -62,8 +63,8 @@ const (
 )
 
 // allCaseAfter is a full block's packed case word when all four rows are
-// Case 2 — with counters off, such a block is a no-op and the scan drops
-// it on a single compare.
+// Case 2 — such a block moves no rank and refines nothing, so the scan
+// counts it whole and drops it on a single compare.
 const allCaseAfter = uint32(caseAfter) | uint32(caseAfter)<<8 |
 	uint32(caseAfter)<<16 | uint32(caseAfter)<<24
 

@@ -26,9 +26,10 @@ import (
 // Fanned out (workers > 1), each worker goroutine runs the same loop
 // with private state and stats.Counters, claiming chunks from the
 // atomic cursor of one scanShared; the coordinator merges the workers'
-// results deterministically at the end. batch.go parallelizes across
-// queries, so fanning out is for the single large query (the paper's
-// market-analysis case) that would otherwise leave cores idle.
+// results deterministically, and their counts once, at the end.
+// batch.go parallelizes across queries, so fanning out is for the
+// single large query (the paper's market-analysis case) that would
+// otherwise leave cores idle.
 //
 // Two pieces of cross-worker pruning state keep the sharded scan as
 // effective as the inline one:
@@ -273,9 +274,9 @@ func scanLabels(kind string, k int) pprof.LabelSet {
 // fanOut runs scan on workers goroutines and waits for all of them.
 // Each worker is pprof-labelled, owns a pooled query state and a private
 // counter set, and records a scan.worker child of sp with its breakdown
-// and the number of weights it ranked (scan's return value). It returns
-// the workers' counters, in worker order.
-func (gr *GIR) fanOut(ctx context.Context, workers int, kind string, k int, sp *trace.Span, scan func(w int, st *queryState, c *stats.Counters) int) []stats.Counters {
+// and the number of weights it ranked (scan's return value). Once the
+// workers have joined, their counter sets are merged into c.
+func (gr *GIR) fanOut(ctx context.Context, workers int, kind string, k int, sp *trace.Span, c *stats.Counters, scan func(w int, st *queryState, wc *stats.Counters) int) {
 	sp.SetInt("workers", int64(workers))
 	cs := make([]stats.Counters, workers)
 	lbls := scanLabels(kind, k)
@@ -291,20 +292,21 @@ func (gr *GIR) fanOut(ctx context.Context, workers int, kind string, k int, sp *
 			scanned := scan(w, st, &cs[w])
 			gr.putState(st)
 			wsp.SetInt("weights_scanned", int64(scanned))
-			endScanSpan(wsp, &cs[w], stats.Counters{}, -1, -1, -1)
+			setScanAttrs(wsp, &cs[w], -1, -1, -1)
+			wsp.End()
 		}(w)
 	}
 	wg.Wait()
-	return cs
+	stats.Merge(c, cs)
 }
 
 // reverseTopKFanOut shards GIRTop-k over workers goroutines and returns
 // the union of their admitted weights (unsorted) with the global
-// dominator count. The workers' counters are merged into c when non-nil.
+// dominator count, merging the workers' counts into c.
 func (gr *GIR) reverseTopKFanOut(ctx context.Context, q vec.Vector, k, workers int, sp *trace.Span, c *stats.Counters) ([]int, int) {
 	sh := &scanShared{chunk: parallelChunk(gr.wm.Len(), workers), dom: newSharedDomin(gr.pm.Len())}
 	parts := make([][]int, workers)
-	cs := gr.fanOut(ctx, workers, "reverse_topk", k, sp, func(w int, st *queryState, wc *stats.Counters) int {
+	gr.fanOut(ctx, workers, "reverse_topk", k, sp, c, func(w int, st *queryState, wc *stats.Counters) int {
 		st.dom.shared = sh.dom
 		scanned := gr.scanTopK(ctx, q, k, st, sh, wc)
 		parts[w] = append([]int(nil), st.res...)
@@ -314,23 +316,21 @@ func (gr *GIR) reverseTopKFanOut(ctx context.Context, q vec.Vector, k, workers i
 	for w := range parts {
 		res = append(res, parts[w]...)
 	}
-	stats.Merge(c, cs)
 	return res, int(sh.dom.count.Load())
 }
 
 // reverseKRanksFanOut shards GIRk-Rank over workers goroutines and
-// returns the union of the workers' local answers for mergeKRanks. The
-// workers' counters are merged into c when non-nil.
+// returns the union of the workers' local answers for mergeKRanks,
+// merging the workers' counts into c.
 func (gr *GIR) reverseKRanksFanOut(ctx context.Context, q vec.Vector, k, workers int, sp *trace.Span, c *stats.Counters) []topk.Match {
 	sh := &scanShared{chunk: parallelChunk(gr.wm.Len(), workers), wm: newRankWatermark()}
 	parts := make([][]topk.Match, workers)
-	cs := gr.fanOut(ctx, workers, "reverse_kranks", k, sp, func(w int, st *queryState, wc *stats.Counters) int {
+	gr.fanOut(ctx, workers, "reverse_kranks", k, sp, c, func(w int, st *queryState, wc *stats.Counters) int {
 		st.heap.Reset(k)
 		scanned, _ := gr.scanKRanks(ctx, q, st, sh, wc)
 		parts[w] = st.heap.Results()
 		return scanned
 	})
-	stats.Merge(c, cs)
 	var union []topk.Match
 	for w := range parts {
 		union = append(union, parts[w]...)

@@ -1,6 +1,7 @@
 package algo
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -28,32 +29,12 @@ func refRankBounded(gr *GIR, wi int, q vec.Vector, cutoff int, dom *domin, bnd [
 	if rnk >= cutoff {
 		return cutoff, false
 	}
-	wa := gr.wa.Row(wi)
-	d := len(wa)
-	n2 := 2 * gr.g.N()
-	for i, wc := range wa {
-		loCol := gr.g.LowerColumn(wc)
-		upCol := gr.g.UpperColumn(wc)
-		row := bnd[i*n2 : (i+1)*n2]
-		for pc := range loCol {
-			row[2*pc] = loCol[pc]
-			row[2*pc+1] = upCol[pc]
-		}
-	}
-	approx := gr.pa.Cells()
+	refGather(gr, wi, bnd)
 	for pj, nP := 0, gr.NumPoints(); pj < nP; pj++ {
 		if dom.has(pj) {
 			continue
 		}
-		pa := approx[pj*d : pj*d+d]
-		var u, l float64
-		off := 0
-		for _, pc := range pa {
-			j := off + 2*int(pc)
-			l += bnd[j]
-			u += bnd[j+1]
-			off += n2
-		}
+		l, u := refBounds(gr, pj, bnd)
 		if u < fq { // Case 1
 			rnk++
 			if !gr.DisableDomin {
@@ -77,6 +58,37 @@ func refRankBounded(gr *GIR, wi int, q vec.Vector, cutoff int, dom *domin, bnd [
 		}
 	}
 	return rnk, true
+}
+
+// refGather lays out the grid columns weight wi selects in bnd, d·2n
+// floats: bnd[i·2n + 2·pc] is the lower and bnd[i·2n + 2·pc + 1] the
+// upper addend for dimension i, point cell pc.
+func refGather(gr *GIR, wi int, bnd []float64) {
+	n2 := 2 * gr.g.N()
+	for i, wc := range gr.wa.Row(wi) {
+		loCol := gr.g.LowerColumn(wc)
+		upCol := gr.g.UpperColumn(wc)
+		row := bnd[i*n2 : (i+1)*n2]
+		for pc := range loCol {
+			row[2*pc] = loCol[pc]
+			row[2*pc+1] = upCol[pc]
+		}
+	}
+}
+
+// refBounds sums point pj's (lower, upper) Grid bounds (Equations 3 and
+// 4) from the columns refGather laid out, in dimension order.
+func refBounds(gr *GIR, pj int, bnd []float64) (l, u float64) {
+	d := gr.pa.Dim()
+	n2 := 2 * gr.g.N()
+	off := 0
+	for _, pc := range gr.pa.Cells()[pj*d : pj*d+d] {
+		j := off + 2*int(pc)
+		l += bnd[j]
+		u += bnd[j+1]
+		off += n2
+	}
+	return l, u
 }
 
 // refReverseTopK is the pre-grouping sequential GIRTop-k: ascending
@@ -267,5 +279,75 @@ func TestGroupedCountersSane(t *testing.T) {
 	if c.ApproxVisited > int64(gir.PointGroups())*int64(gir.NumWeights()) {
 		t.Fatalf("ApproxVisited %d exceeds groups×weights %d — counting per point, not per group?",
 			c.ApproxVisited, gir.PointGroups()*gir.NumWeights())
+	}
+}
+
+// TestScanCountsExact pins the scan's counters to a per-point
+// classification, not just to checkStatsInvariants' inequalities. With
+// DisableDomin no dominator ever kills a group, and reverse top-k at
+// k > |P| never reaches its cutoff, so every weight classifies every
+// point: Case1Filtered, Case2Filtered and Refinements must equal the
+// per-point Case 1/2/3 tallies of refBounds' bound sums, and
+// PairwiseMults one score per weight plus one per refinement — at every
+// worker count, on grids that derive each packed width from 4 to 8 and
+// on duplicate-heavy data. A block of four Case-2 groups counted wrong,
+// or a group counted twice, moves these totals.
+func TestScanCountsExact(t *testing.T) {
+	for i, n := range []int{16, 32, 64, 128, 256} {
+		rng := rand.New(rand.NewSource(int64(4100 + i)))
+		d := 3 + i
+		P := dataset.GenerateProducts(rng, dataset.Clustered, 150, d, dataset.DefaultRange)
+		W := dataset.GenerateWeights(rng, dataset.Uniform, 90, d)
+		points := P.Points
+		if i%2 == 0 {
+			points = catalogSet(rng, points[:30], len(points))
+		}
+		gir := NewGIR(points, W.Points, P.Range, n)
+		gir.DisableDomin = true
+		low := make(vec.Vector, d) // below most of the catalog: mostly Case 2
+		for j := range low {
+			low[j] = P.Range * 0.1
+		}
+		for qi, q := range []vec.Vector{points[7], low, points[rng.Intn(len(points))]} {
+			var want stats.Counters
+			bnd := make([]float64, d*2*n)
+			for wi := 0; wi < gir.NumWeights(); wi++ {
+				fq := vec.Dot(gir.Weight(wi), q)
+				refGather(gir, wi, bnd)
+				want.PairwiseMults++
+				for pj := 0; pj < gir.NumPoints(); pj++ {
+					switch l, u := refBounds(gir, pj, bnd); {
+					case u < fq:
+						want.Case1Filtered++
+					case l > fq:
+						want.Case2Filtered++
+					default:
+						want.Refinements++
+						want.PairwiseMults++
+					}
+				}
+			}
+			k := gir.NumPoints() + 1
+			for _, workers := range []int{1, 2, 4, 8} {
+				_, got, err := gir.ReverseTopKOpts(context.Background(), q, k, QueryOpts{Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				name := fmt.Sprintf("n=%d (%d-bit) q%d workers=%d", n, gir.PackedBits(), qi, workers)
+				if got.Case1Filtered != want.Case1Filtered || got.Case2Filtered != want.Case2Filtered ||
+					got.Refinements != want.Refinements || got.PairwiseMults != want.PairwiseMults {
+					t.Fatalf("%s: case1/case2/refined/mults = %d/%d/%d/%d, per-point classification %d/%d/%d/%d", name,
+						got.Case1Filtered, got.Case2Filtered, got.Refinements, got.PairwiseMults,
+						want.Case1Filtered, want.Case2Filtered, want.Refinements, want.PairwiseMults)
+				}
+				// The per-group and derived counters follow exactly too.
+				if groups := int64(gir.NumWeights() * gir.PointGroups()); got.BoundSums != groups || got.ApproxVisited != groups {
+					t.Fatalf("%s: BoundSums %d, ApproxVisited %d, want weights × groups = %d", name, got.BoundSums, got.ApproxVisited, groups)
+				}
+				if got.Filtered != got.Case1Filtered+got.Case2Filtered || got.PointsVisited != got.Refinements || got.Queries != 1 {
+					t.Fatalf("%s: derived counters inconsistent: %+v", name, got)
+				}
+			}
+		}
 	}
 }

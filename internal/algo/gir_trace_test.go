@@ -48,16 +48,14 @@ func requireCaseBreakdown(t *testing.T, sp trace.SpanData, c *stats.Counters) {
 			t.Errorf("span %s missing attr %s: %+v", sp.Name, key, sp.Attrs)
 		}
 	}
-	if c != nil {
-		if got := sp.Attrs["case1_filtered"]; got != c.Case1Filtered {
-			t.Errorf("case1_filtered attr %v != counter %d", got, c.Case1Filtered)
-		}
-		if got := sp.Attrs["case2_filtered"]; got != c.Case2Filtered {
-			t.Errorf("case2_filtered attr %v != counter %d", got, c.Case2Filtered)
-		}
-		if got := sp.Attrs["case3_refined"]; got != c.Refinements {
-			t.Errorf("case3_refined attr %v != counter %d", got, c.Refinements)
-		}
+	if got := sp.Attrs["case1_filtered"]; got != c.Case1Filtered {
+		t.Errorf("case1_filtered attr %v != counter %d", got, c.Case1Filtered)
+	}
+	if got := sp.Attrs["case2_filtered"]; got != c.Case2Filtered {
+		t.Errorf("case2_filtered attr %v != counter %d", got, c.Case2Filtered)
+	}
+	if got := sp.Attrs["case3_refined"]; got != c.Refinements {
+		t.Errorf("case3_refined attr %v != counter %d", got, c.Refinements)
 	}
 	if c1, c2 := sp.Attrs["case1_filtered"].(int64), sp.Attrs["case2_filtered"].(int64); c1+c2 == 0 {
 		t.Errorf("span %s recorded no filtered points — dataset too small for a meaningful test", sp.Name)
@@ -71,7 +69,8 @@ func TestSequentialScanSpans(t *testing.T) {
 
 	var c stats.Counters
 	_, spans := traceSpans(t, func(tr *trace.Trace) {
-		if _, err := gir.ReverseKRanksOpts(ctx, q, 5, QueryOpts{Workers: 1, Counters: &c, Trace: tr}); err != nil {
+		var err error
+		if _, c, err = gir.ReverseKRanksOpts(ctx, q, 5, QueryOpts{Workers: 1, Trace: tr}); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -93,9 +92,9 @@ func TestSequentialScanSpans(t *testing.T) {
 	}
 
 	// RTK: dominator count and fixed cutoff.
-	c.Reset()
 	_, spans = traceSpans(t, func(tr *trace.Trace) {
-		if _, err := gir.ReverseTopKOpts(ctx, q, 50, QueryOpts{Workers: 1, Counters: &c, Trace: tr}); err != nil {
+		var err error
+		if _, c, err = gir.ReverseTopKOpts(ctx, q, 50, QueryOpts{Workers: 1, Trace: tr}); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -112,16 +111,18 @@ func TestSequentialScanSpans(t *testing.T) {
 	}
 }
 
-// TestTracedCountersWithoutStats checks the entry hook: a traced query
-// with a nil caller counter still gets the full case breakdown on its
-// scan span.
+// TestTracedCountersWithoutStats checks that a traced query's scan span
+// carries the case breakdown the query itself counted and returned,
+// inline and fanned out: spans and callers read one counter set.
 func TestTracedCountersWithoutStats(t *testing.T) {
 	gir := traceTestGIR(t)
 	q := gir.Point(3)
 	ctx := context.Background()
 	for _, workers := range []int{1, 3} {
+		var c stats.Counters
 		_, spans := traceSpans(t, func(tr *trace.Trace) {
-			if _, err := gir.ReverseKRanksOpts(ctx, q, 5, QueryOpts{Workers: workers, Trace: tr}); err != nil {
+			var err error
+			if _, c, err = gir.ReverseKRanksOpts(ctx, q, 5, QueryOpts{Workers: workers, Trace: tr}); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -129,7 +130,7 @@ func TestTracedCountersWithoutStats(t *testing.T) {
 		if !ok {
 			t.Fatalf("workers=%d: no scan span", workers)
 		}
-		requireCaseBreakdown(t, scan, nil)
+		requireCaseBreakdown(t, scan, &c)
 	}
 }
 
@@ -141,7 +142,8 @@ func TestParallelScanSpans(t *testing.T) {
 
 	var c stats.Counters
 	td, spans := traceSpans(t, func(tr *trace.Trace) {
-		if _, err := gir.ReverseKRanksOpts(ctx, q, 5, QueryOpts{Workers: workers, Counters: &c, Trace: tr}); err != nil {
+		var err error
+		if _, c, err = gir.ReverseKRanksOpts(ctx, q, 5, QueryOpts{Workers: workers, Trace: tr}); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -180,9 +182,9 @@ func TestParallelScanSpans(t *testing.T) {
 	}
 
 	// Parallel RTK spans, including the shared dominator count.
-	c.Reset()
 	_, spans = traceSpans(t, func(tr *trace.Trace) {
-		if _, err := gir.ReverseTopKOpts(ctx, q, 50, QueryOpts{Workers: workers, Counters: &c, Trace: tr}); err != nil {
+		var err error
+		if _, c, err = gir.ReverseTopKOpts(ctx, q, 50, QueryOpts{Workers: workers, Trace: tr}); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -205,12 +207,12 @@ func TestTracedMatchesUntraced(t *testing.T) {
 		for qi := 0; qi < 10; qi++ {
 			q := gir.Point(qi * 7)
 			tr := tc.Start("q", trace.Parent{})
-			traced, err := gir.ReverseKRanksOpts(ctx, q, 5, QueryOpts{Workers: workers, Trace: tr})
+			traced, _, err := gir.ReverseKRanksOpts(ctx, q, 5, QueryOpts{Workers: workers, Trace: tr})
 			tr.Finish()
 			if err != nil {
 				t.Fatal(err)
 			}
-			plain, err := gir.ReverseKRanksOpts(ctx, q, 5, QueryOpts{Workers: workers})
+			plain, _, err := gir.ReverseKRanksOpts(ctx, q, 5, QueryOpts{Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -240,7 +242,7 @@ func TestKRanksCutoffFinalIndependentOfWorkers(t *testing.T) {
 		var res []topk.Match
 		_, spans := traceSpans(t, func(tr *trace.Trace) {
 			var err error
-			if res, err = gir.ReverseKRanksOpts(context.Background(), q, k, QueryOpts{Workers: workers, Trace: tr}); err != nil {
+			if res, _, err = gir.ReverseKRanksOpts(context.Background(), q, k, QueryOpts{Workers: workers, Trace: tr}); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -16,14 +16,21 @@ import (
 var parallelWorkerCounts = []int{2, 4, 8}
 
 // rtkAt and rkrAt run a query at an explicit worker count under a
-// background context — test shorthand for the Opts entrypoints.
+// background context — test shorthand for the Opts entrypoints. The
+// query's counts are added to c when it is non-nil.
 func rtkAt(gr *GIR, q vec.Vector, k, workers int, c *stats.Counters) []int {
-	res, _ := gr.ReverseTopKOpts(context.Background(), q, k, QueryOpts{Workers: workers, Counters: c})
+	res, n, _ := gr.ReverseTopKOpts(context.Background(), q, k, QueryOpts{Workers: workers})
+	if c != nil {
+		c.Add(&n)
+	}
 	return res
 }
 
 func rkrAt(gr *GIR, q vec.Vector, k, workers int, c *stats.Counters) []topk.Match {
-	res, _ := gr.ReverseKRanksOpts(context.Background(), q, k, QueryOpts{Workers: workers, Counters: c})
+	res, n, _ := gr.ReverseKRanksOpts(context.Background(), q, k, QueryOpts{Workers: workers})
+	if c != nil {
+		c.Add(&n)
+	}
 	return res
 }
 

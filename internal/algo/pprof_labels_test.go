@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"gridrank/internal/dataset"
-	"gridrank/internal/stats"
 )
 
 // TestScanWorkerPprofLabels drives parallel queries while sampling the
@@ -32,13 +31,12 @@ func TestScanWorkerPprofLabels(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		var c stats.Counters
 		for i := 0; !stop.Load(); i++ {
 			q := P.Points[i%len(P.Points)]
-			if _, err := gir.ReverseTopKOpts(ctx, q, 40, QueryOpts{Workers: 4, Counters: &c}); err != nil {
+			if _, _, err := gir.ReverseTopKOpts(ctx, q, 40, QueryOpts{Workers: 4}); err != nil {
 				return
 			}
-			if _, err := gir.ReverseKRanksOpts(ctx, q, 10, QueryOpts{Workers: 4, Counters: &c}); err != nil {
+			if _, _, err := gir.ReverseKRanksOpts(ctx, q, 10, QueryOpts{Workers: 4}); err != nil {
 				return
 			}
 		}

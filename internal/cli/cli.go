@@ -191,7 +191,7 @@ func RunQueryCtx(ctx context.Context, w io.Writer, opts QueryOptions) error {
 		}
 		var res []int
 		if g, ok := a.(*algo.GIR); ok {
-			res, err = g.ReverseTopKOpts(ctx, q, opts.K, algo.QueryOpts{Workers: opts.Parallel, Counters: &c, Trace: tr})
+			res, c, err = g.ReverseTopKOpts(ctx, q, opts.K, algo.QueryOpts{Workers: opts.Parallel, Trace: tr})
 		} else if err = ctx.Err(); err == nil {
 			res = a.ReverseTopK(q, opts.K, &c)
 		}
@@ -218,7 +218,7 @@ func RunQueryCtx(ctx context.Context, w io.Writer, opts QueryOptions) error {
 		}
 		var res []topk.Match
 		if g, ok := a.(*algo.GIR); ok {
-			res, err = g.ReverseKRanksOpts(ctx, q, opts.K, algo.QueryOpts{Workers: opts.Parallel, Counters: &c, Trace: tr})
+			res, c, err = g.ReverseKRanksOpts(ctx, q, opts.K, algo.QueryOpts{Workers: opts.Parallel, Trace: tr})
 		} else if err = ctx.Err(); err == nil {
 			res = a.ReverseKRanks(q, opts.K, &c)
 		}

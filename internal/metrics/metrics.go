@@ -164,7 +164,7 @@ type CacheCounts struct {
 	Misses         int64 // lookups that fell through to the scan
 	Stores         int64 // answers accepted into the cache
 	RejectedStores int64 // stores refused as older than the head epoch
-	Invalidations  int64 // entries removed or rewritten by mutation sweeps
+	Invalidations  int64 // entries dropped by mutation sweeps
 	Flushes        int64 // whole-cache clears (batch mutations, rebuilds)
 	Evictions      int64 // entries dropped by the LRU capacity bound
 	Expirations    int64 // entries dropped as older than the TTL
@@ -661,7 +661,7 @@ func (r *Registry) WriteExposition(w io.Writer, openMetrics bool) error {
 		b.printf("gridrank_cache_stores_total %d\n", cc.Stores)
 		b.family("gridrank_cache_stores_rejected_total", "counter", "Stores refused because the answer was computed against an epoch older than the cache head.")
 		b.printf("gridrank_cache_stores_rejected_total %d\n", cc.RejectedStores)
-		b.family("gridrank_cache_invalidated_entries_total", "counter", "Cached answers removed or rewritten by mutation invalidation sweeps.")
+		b.family("gridrank_cache_invalidated_entries_total", "counter", "Cached answers dropped by mutation invalidation sweeps.")
 		b.printf("gridrank_cache_invalidated_entries_total %d\n", cc.Invalidations)
 		b.family("gridrank_cache_flushes_total", "counter", "Whole-cache clears (batch mutations and index rebuilds).")
 		b.printf("gridrank_cache_flushes_total %d\n", cc.Flushes)

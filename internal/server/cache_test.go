@@ -113,8 +113,9 @@ func TestCacheEndToEnd(t *testing.T) {
 		t.Fatalf("post-mutation query: %d %s", third.Code, third.Body.String())
 	}
 	body = getMetricsBody(t, s)
-	if !strings.Contains(body, "gridrank_cache_invalidated_entries_total") {
-		t.Errorf("missing invalidation counter in /metrics:\n%s", body)
+	const dropHelp = "# HELP gridrank_cache_invalidated_entries_total Cached answers dropped by mutation invalidation sweeps.\n"
+	if !strings.Contains(body, dropHelp) {
+		t.Errorf("missing invalidation counter help %q in /metrics:\n%s", dropHelp, body)
 	}
 
 	// /v1/index reports the cache block.

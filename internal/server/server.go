@@ -349,8 +349,8 @@ func NewWithConfig(ix *gridrank.Index, cfg Config) *Server {
 	s.mux.HandleFunc("GET /debug/flight", s.handleFlight)
 	s.mux.HandleFunc("GET /debug/bundle", s.handleBundle)
 	s.mux.HandleFunc("/v1/index", s.instrument(epIndex, s.handleIndex))
-	s.mux.HandleFunc("/v1/reverse-topk", s.instrument(epRTK, s.handleReverseTopK))
-	s.mux.HandleFunc("/v1/reverse-kranks", s.instrument(epRKR, s.handleReverseKRanks))
+	s.mux.HandleFunc("/v1/reverse-topk", s.instrument(epRTK, serveQuery(s, epRTK, ix.ReverseTopKCtx, rtkBody)))
+	s.mux.HandleFunc("/v1/reverse-kranks", s.instrument(epRKR, serveQuery(s, epRKR, ix.ReverseKRanksCtx, rkrBody)))
 	s.mux.HandleFunc("/v1/batch", s.instrument(epBatch, s.handleBatch))
 	s.mux.HandleFunc("/v1/topk", s.instrument(epTopK, s.handleTopK))
 	s.mux.HandleFunc("/v1/rank", s.instrument(epRank, s.handleRank))
@@ -543,8 +543,9 @@ func (s *Server) queryContext(r *http.Request, timeoutMs int) (context.Context, 
 }
 
 // queryOptions assembles the per-call options shared by both query
-// endpoints. The stats sink is always attached: the metrics layer needs
-// the filter counters even when the client did not ask for them.
+// endpoints. The stats sink is always attached: it is how the handler
+// reads the query's own counts for the filter metrics, even when the
+// client did not ask for them (it switches no counting on).
 func queryOptions(workers int, st *gridrank.Stats) []gridrank.QueryOption {
 	opts := []gridrank.QueryOption{gridrank.WithStats(st)}
 	if workers > 0 {
@@ -627,64 +628,21 @@ func (s *Server) indexMeta() map[string]interface{} {
 	return meta
 }
 
-type rtkResponse struct {
-	Preferences []int           `json:"preferences"`
-	Count       int             `json:"count"`
-	Stats       *gridrank.Stats `json:"stats,omitempty"`
+// queryMeta is what both single-query response bodies carry besides
+// the answer.
+type queryMeta struct {
+	Stats *gridrank.Stats `json:"stats,omitempty"`
 	// TraceID identifies this query's trace when it was head-sampled;
 	// retrieve the span tree at GET /debug/traces/{trace_id}.
 	TraceID string `json:"trace_id,omitempty"`
 }
 
-func (s *Server) handleReverseTopK(w http.ResponseWriter, r *http.Request) {
-	tr := s.startTrace(r, epRTK)
-	var req queryRequest
-	dsp := tr.StartSpan("decode")
-	ok := s.decode(w, r, &req)
-	dsp.End()
-	if !ok {
-		finishQueryTrace(tr, nil, errors.New("bad request"))
-		return
-	}
-	tr.SetAttr("k", req.K)
-	q, err := s.resolveQueryVector(req.Query, req.Product)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		finishQueryTrace(tr, nil, err)
-		return
-	}
-	workers, err := s.resolveParallelism(req.Parallelism)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		finishQueryTrace(tr, nil, err)
-		return
-	}
-	ctx, cancel, err := s.queryContext(r, req.TimeoutMs)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		finishQueryTrace(tr, nil, err)
-		return
-	}
-	defer cancel()
-	var st gridrank.Stats
-	res, err := s.ix.ReverseTopKCtx(ctx, q, req.K, traceQueryOption(queryOptions(workers, &st), tr)...)
-	s.metrics.Endpoint(epRTK).AddFilterCounts(st.Filtered, st.Refined)
-	if err != nil {
-		s.writeError(w, queryErrorStatus(err), err)
-		finishQueryTrace(tr, &st, err)
-		return
-	}
-	if res == nil {
-		res = []int{}
-	}
-	resp := rtkResponse{Preferences: res, Count: len(res), TraceID: decorateTraced(w, tr)}
-	if req.Stats {
-		resp.Stats = &st
-	}
-	esp := tr.StartSpan("encode")
-	s.writeJSON(w, http.StatusOK, resp)
-	esp.End()
-	finishQueryTrace(tr, &st, nil)
+func (m *queryMeta) meta() *queryMeta { return m }
+
+type rtkResponse struct {
+	Preferences []int `json:"preferences"`
+	Count       int   `json:"count"`
+	queryMeta
 }
 
 type rkrMatch struct {
@@ -694,63 +652,85 @@ type rkrMatch struct {
 }
 
 type rkrResponse struct {
-	Matches []rkrMatch      `json:"matches"`
-	Stats   *gridrank.Stats `json:"stats,omitempty"`
-	// TraceID identifies this query's trace when it was head-sampled;
-	// retrieve the span tree at GET /debug/traces/{trace_id}.
-	TraceID string `json:"trace_id,omitempty"`
+	Matches []rkrMatch `json:"matches"`
+	queryMeta
 }
 
-func (s *Server) handleReverseKRanks(w http.ResponseWriter, r *http.Request) {
-	tr := s.startTrace(r, epRKR)
-	var req queryRequest
-	dsp := tr.StartSpan("decode")
-	ok := s.decode(w, r, &req)
-	dsp.End()
-	if !ok {
-		finishQueryTrace(tr, nil, errors.New("bad request"))
-		return
+// rtkBody and rkrBody shape each kind's answer as its response body,
+// for the single-query endpoints and /v1/batch alike.
+func rtkBody(res []int) *rtkResponse {
+	if res == nil {
+		res = []int{}
 	}
-	tr.SetAttr("k", req.K)
-	q, err := s.resolveQueryVector(req.Query, req.Product)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		finishQueryTrace(tr, nil, err)
-		return
-	}
-	workers, err := s.resolveParallelism(req.Parallelism)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		finishQueryTrace(tr, nil, err)
-		return
-	}
-	ctx, cancel, err := s.queryContext(r, req.TimeoutMs)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		finishQueryTrace(tr, nil, err)
-		return
-	}
-	defer cancel()
-	var st gridrank.Stats
-	res, err := s.ix.ReverseKRanksCtx(ctx, q, req.K, traceQueryOption(queryOptions(workers, &st), tr)...)
-	s.metrics.Endpoint(epRKR).AddFilterCounts(st.Filtered, st.Refined)
-	if err != nil {
-		s.writeError(w, queryErrorStatus(err), err)
-		finishQueryTrace(tr, &st, err)
-		return
-	}
+	return &rtkResponse{Preferences: res, Count: len(res)}
+}
+
+func rkrBody(res []gridrank.Match) *rkrResponse {
 	matches := make([]rkrMatch, len(res))
 	for i, m := range res {
 		matches[i] = rkrMatch{Preference: m.WeightIndex, Rank: m.Rank, Position: m.Rank + 1}
 	}
-	resp := rkrResponse{Matches: matches, TraceID: decorateTraced(w, tr)}
-	if req.Stats {
-		resp.Stats = &st
+	return &rkrResponse{Matches: matches}
+}
+
+// serveQuery is the one handler body behind both single-query
+// endpoints, which differ only in the index call (ask) and the response
+// shape (body): decode, resolve the query vector, the parallelism and
+// the deadline, ask with the stats sink attached, record the endpoint's
+// filter metrics, and encode the answer with the optional stats block
+// and the trace ID. ep names the endpoint for the trace and the metrics.
+func serveQuery[T any, B interface{ meta() *queryMeta }](s *Server, ep string,
+	ask func(context.Context, gridrank.Vector, int, ...gridrank.QueryOption) (T, error),
+	body func(T) B) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		tr := s.startTrace(r, ep)
+		var req queryRequest
+		dsp := tr.StartSpan("decode")
+		ok := s.decode(w, r, &req)
+		dsp.End()
+		if !ok {
+			finishQueryTrace(tr, nil, errors.New("bad request"))
+			return
+		}
+		tr.SetAttr("k", req.K)
+		q, err := s.resolveQueryVector(req.Query, req.Product)
+		if err != nil {
+			s.writeError(w, http.StatusBadRequest, err)
+			finishQueryTrace(tr, nil, err)
+			return
+		}
+		workers, err := s.resolveParallelism(req.Parallelism)
+		if err != nil {
+			s.writeError(w, http.StatusBadRequest, err)
+			finishQueryTrace(tr, nil, err)
+			return
+		}
+		ctx, cancel, err := s.queryContext(r, req.TimeoutMs)
+		if err != nil {
+			s.writeError(w, http.StatusBadRequest, err)
+			finishQueryTrace(tr, nil, err)
+			return
+		}
+		defer cancel()
+		var st gridrank.Stats
+		res, err := ask(ctx, q, req.K, traceQueryOption(queryOptions(workers, &st), tr)...)
+		s.metrics.Endpoint(ep).AddFilterCounts(st.Filtered, st.Refined)
+		if err != nil {
+			s.writeError(w, queryErrorStatus(err), err)
+			finishQueryTrace(tr, &st, err)
+			return
+		}
+		resp := body(res)
+		m := resp.meta()
+		m.TraceID = decorateTraced(w, tr)
+		if req.Stats {
+			m.Stats = &st
+		}
+		esp := tr.StartSpan("encode")
+		s.writeJSON(w, http.StatusOK, resp)
+		esp.End()
+		finishQueryTrace(tr, &st, nil)
 	}
-	esp := tr.StartSpan("encode")
-	s.writeJSON(w, http.StatusOK, resp)
-	esp.End()
-	finishQueryTrace(tr, &st, nil)
 }
 
 // batchItem is one query of a /v1/batch request.
@@ -865,11 +845,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 					results[i] = batchItemResult{Error: br.Err.Error()}
 					continue
 				}
-				res := br.Value
-				if res == nil {
-					res = []int{}
-				}
-				results[i] = batchItemResult{ReverseTopK: &rtkResponse{Preferences: res, Count: len(res)}}
+				results[i] = batchItemResult{ReverseTopK: rtkBody(br.Value)}
 			}
 		case "reverse-kranks":
 			batch := s.ix.ReverseKRanksBatchCtx(ctx, g.vectors, k, workers, traceQueryOption(nil, tr)...)
@@ -879,11 +855,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 					results[i] = batchItemResult{Error: br.Err.Error()}
 					continue
 				}
-				matches := make([]rkrMatch, len(br.Value))
-				for mi, m := range br.Value {
-					matches[mi] = rkrMatch{Preference: m.WeightIndex, Rank: m.Rank, Position: m.Rank + 1}
-				}
-				results[i] = batchItemResult{ReverseKRanks: &rkrResponse{Matches: matches}}
+				results[i] = batchItemResult{ReverseKRanks: rkrBody(br.Value)}
 			}
 		}
 	}

@@ -80,15 +80,11 @@ func (c *Counters) Add(o *Counters) {
 	c.Queries += o.Queries
 }
 
-// Merge sums per-worker counter sets into dst; a nil dst (counting off)
-// is a no-op. This is the merge step of the package's concurrency
-// design: query workers count into private Counters and the coordinator
-// folds them together once the goroutines have joined, so the hot loops
-// never touch shared memory.
+// Merge sums per-worker counter sets into dst. This is the merge step of
+// the package's concurrency design: query workers count into private
+// Counters and the coordinator folds them together once the goroutines
+// have joined, so the hot loops never touch shared memory.
 func Merge(dst *Counters, parts []Counters) {
-	if dst == nil {
-		return
-	}
 	for i := range parts {
 		dst.Add(&parts[i])
 	}

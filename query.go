@@ -12,6 +12,9 @@ package gridrank
 //	    → validation (dimensions, finiteness, k)
 //	      → GIR scan, polling ctx once per preference chunk
 //
+// Every scan counts its work (the Section 3.1 case breakdown) whether or
+// not the caller asked for it: the counts feed the query's flight-
+// recorder digest and its trace spans, and WithStats copies them out.
 // A query whose context is cancelled or expires stops within one
 // preference chunk on every goroutine and returns ctx.Err(); the stats
 // sink of WithStats is still filled with the work performed up to that
@@ -42,7 +45,7 @@ type queryConfig struct {
 	// 1 forces the sequential scan, larger values shard W across that
 	// many goroutines.
 	workers int
-	// stats, when non-nil, receives the query's work statistics.
+	// stats, when non-nil, receives a copy of the query's work counts.
 	stats *Stats
 	// tr, when non-nil, receives the query's execution spans.
 	tr *trace.Trace
@@ -68,10 +71,12 @@ func WithWorkers(n int) QueryOption {
 	}
 }
 
-// WithStats directs the query's work statistics into s. The sink is
-// written exactly once, when the query returns — including on
-// cancellation, where it holds the work performed before the context
-// fired.
+// WithStats copies the query's work statistics into s. Every query
+// counts its work anyway (the flight recorder keeps the case breakdown
+// of each), so the option only adds a sink; it does not switch counting
+// on. The sink is written exactly once, when the query returns —
+// including on cancellation, where it holds the work performed before
+// the context fired, and on an answer-cache hit, where it is zero.
 func WithStats(s *Stats) QueryOption {
 	return func(cfg *queryConfig) error {
 		if s == nil {
@@ -153,38 +158,10 @@ func (cfg *queryConfig) resolveWorkers(ix *Index) int {
 	}
 }
 
-// counters returns the stats sink for the algo layer: nil (counting
-// disabled) unless the caller asked for statistics.
-func (cfg *queryConfig) counters() *stats.Counters {
-	if cfg.stats == nil {
-		return nil
-	}
-	return new(stats.Counters)
-}
-
-// finish publishes the counters into the caller's sink.
-func (cfg *queryConfig) finish(c *stats.Counters) {
-	if cfg.stats != nil {
-		*cfg.stats = fromCounters(c)
-	}
-}
-
 // served publishes the answer's epoch into the caller's sink.
 func (cfg *queryConfig) served(seq uint64) {
 	if cfg.servedEpoch != nil {
 		*cfg.servedEpoch = seq
-	}
-}
-
-// cases copies the scan's case breakdown into the flight digest. c is
-// nil unless the caller asked for stats (WithStats) — counters are not
-// collected otherwise, so unstatted queries record zeros rather than
-// paying for collection.
-func (dig *queryDigest) cases(c *stats.Counters) {
-	if c != nil {
-		dig.case1 = c.Case1Filtered
-		dig.case2 = c.Case2Filtered
-		dig.case3 = c.Refinements
 	}
 }
 
@@ -196,10 +173,11 @@ func (dig *queryDigest) cases(c *stats.Counters) {
 // deadline passes, the scan stops within one preference chunk on every
 // goroutine and the call returns ctx.Err(). Options tune the call:
 // WithWorkers overrides the index's intra-query parallelism and
-// WithStats captures work statistics.
+// WithStats copies out the work statistics the scan counts.
 //
 // Every call — success, validation error or cancellation — leaves one
-// digest in the always-on flight recorder (see FlightRecords).
+// digest in the always-on flight recorder (see FlightRecords), with the
+// scan's Case-1/2/3 breakdown when a scan ran.
 func (ix *Index) ReverseTopKCtx(ctx context.Context, q Vector, k int, opts ...QueryOption) ([]int, error) {
 	return runQuery(ix, &topKQuery, ctx, q, k, opts)
 }
@@ -222,7 +200,7 @@ func (ix *Index) ReverseKRanksCtx(ctx context.Context, q Vector, k int, opts ...
 type queryKind[T any] struct {
 	op         flight.Op
 	kind       answers.Kind
-	scan       func(gr *algo.GIR, ctx context.Context, q Vector, k int, o algo.QueryOpts) (T, error)
+	scan       func(gr *algo.GIR, ctx context.Context, q Vector, k int, o algo.QueryOpts) (T, stats.Counters, error)
 	toAnswer   func(T) []answers.Member
 	fromAnswer func([]answers.Member) T
 }
@@ -247,9 +225,9 @@ var topKQuery = queryKind[[]int]{
 var kRanksQuery = queryKind[[]Match]{
 	op:   flight.OpReverseKRanks,
 	kind: answers.KindKRanks,
-	scan: func(gr *algo.GIR, ctx context.Context, q Vector, k int, o algo.QueryOpts) ([]Match, error) {
-		ms, err := gr.ReverseKRanksOpts(ctx, q, k, o)
-		return convertMatches[Match](ms), err
+	scan: func(gr *algo.GIR, ctx context.Context, q Vector, k int, o algo.QueryOpts) ([]Match, stats.Counters, error) {
+		ms, n, err := gr.ReverseKRanksOpts(ctx, q, k, o)
+		return convertMatches[Match](ms), n, err
 	},
 	toAnswer: kRanksMembers[Match],
 	fromAnswer: func(ms []answers.Member) []Match {
@@ -313,7 +291,6 @@ func (kind *queryKind[T]) run(ix *Index, ctx context.Context, q Vector, k int, o
 	}
 	dig.traceHi, dig.traceLo = cfg.tr.IDPair()
 	dig.sampled = cfg.tr.Sampled()
-	c := cfg.counters()
 	ac := ix.answers.Load()
 	cached := ac != nil && ac.CacheEnabled() && !cfg.noCache
 	if cached {
@@ -325,7 +302,9 @@ func (kind *queryKind[T]) run(ix *Index, ctx context.Context, q Vector, k int, o
 		lsp := cfg.tr.StartSpan("cache.lookup")
 		if ans, seq, ok := ac.Lookup(kind.kind, k, q); ok {
 			lsp.SetInt("hit", 1).SetInt("epoch", int64(seq)).End()
-			cfg.finish(c) // a hit performs no scan work: stats are zero
+			if cfg.stats != nil {
+				*cfg.stats = Stats{} // a hit performs no scan work
+			}
 			cfg.served(seq)
 			dig.epoch, dig.cacheHit = seq, true
 			return kind.fromAnswer(ans), dig, nil
@@ -338,13 +317,13 @@ func (kind *queryKind[T]) run(ix *Index, ctx context.Context, q Vector, k int, o
 	ep := ix.snap()
 	sp.SetInt("epoch", int64(ep.seq)).End()
 	dig.epoch = ep.seq
-	res, err = kind.scan(ep.gir, ctx, q, k, algo.QueryOpts{
-		Workers:  cfg.resolveWorkers(ix),
-		Counters: c,
-		Trace:    cfg.tr,
+	res, dig.work, err = kind.scan(ep.gir, ctx, q, k, algo.QueryOpts{
+		Workers: cfg.resolveWorkers(ix),
+		Trace:   cfg.tr,
 	})
-	cfg.finish(c)
-	dig.cases(c)
+	if cfg.stats != nil {
+		*cfg.stats = fromCounters(&dig.work)
+	}
 	if err != nil {
 		return res, dig, err
 	}

@@ -33,7 +33,11 @@
 # for resident memory (the mmap payload lives in the page cache) — and
 # the flight-recorder suite (BenchmarkFlightRecorderOverhead) from
 # flight_bench_test.go, whose off/on sub-benchmarks price the always-on
-# digest ring against a recorder-disabled index. Each
+# digest ring against a recorder-disabled index — and the catalog suite
+# (BenchmarkGIRCatalog) from catalog_bench_test.go, one reverse top-k and
+# one reverse k-ranks query at a time on perfbench's DIANPING catalog
+# shape, where the packed scan's all-Case-2 block drop carries the
+# scan. Each
 # entry records ns/op, B/op, allocs/op and any custom metrics the
 # benchmark reports (e.g. filter% for the grouped sweep).
 set -eu

@@ -24,7 +24,7 @@ func BenchmarkGIRTraceOverhead(b *testing.B) {
 
 	b.Run("off", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := gir.ReverseKRanksOpts(ctx, data.q, 100, algo.QueryOpts{}); err != nil {
+			if _, _, err := gir.ReverseKRanksOpts(ctx, data.q, 100, algo.QueryOpts{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -33,7 +33,7 @@ func BenchmarkGIRTraceOverhead(b *testing.B) {
 		tracer := trace.New(trace.Config{SampleRate: 1, Capacity: 4})
 		for i := 0; i < b.N; i++ {
 			tr := tracer.Start("bench", trace.Parent{})
-			if _, err := gir.ReverseKRanksOpts(ctx, data.q, 100, algo.QueryOpts{Trace: tr}); err != nil {
+			if _, _, err := gir.ReverseKRanksOpts(ctx, data.q, 100, algo.QueryOpts{Trace: tr}); err != nil {
 				b.Fatal(err)
 			}
 			tr.Finish()
