@@ -317,7 +317,17 @@ func runAnswerEquivalence(t *testing.T, seeds equivSeeds) {
 			// A fixed query pool, reused across steps so entries persist
 			// across mutations. pool[0] RTK and pool[1] RKR are subscribed
 			// keys; the rest are answered by cached entries or the scan.
-			pool := []Vector{ps[rng.Intn(len(ps))], ps[rng.Intn(len(ps))], randProduct(rng, d, 1.2)}
+			// pool[3], the componentwise maximum of the catalog, has at
+			// least n − d dominators, so its reverse top-k answer — a
+			// subscribed key too — is decided by the dominator pre-pass
+			// before any scan, at every recompute.
+			high := make(Vector, d)
+			for _, p := range ps {
+				for j, x := range p {
+					high[j] = max(high[j], x)
+				}
+			}
+			pool := []Vector{ps[rng.Intn(len(ps))], ps[rng.Intn(len(ps))], randProduct(rng, d, 1.2), high}
 			var subs []*Subscription
 			subscribe := func(q Vector, kind SubKind, k int) {
 				t.Helper()
@@ -335,6 +345,11 @@ func runAnswerEquivalence(t *testing.T, seeds equivSeeds) {
 			// Two more on unpooled points at a random k, one of each kind.
 			subscribe(ps[rng.Intn(len(ps))], SubReverseTopK, 1+rng.Intn(5))
 			subscribe(ps[rng.Intn(len(ps))], SubReverseKRanks, 1+rng.Intn(5))
+			var hs Stats
+			if _, err := plain.ReverseTopKCtx(context.Background(), high, equivK, WithStats(&hs)); err != nil || hs.Dominators != equivK || hs.PairwiseMults != 0 {
+				t.Fatalf("reverse top-k at the catalog maximum: %v, %+v; want the pre-pass to decide it", err, hs)
+			}
+			subscribe(high, SubReverseTopK, equivK)
 			members := make([][]SubMember, len(subs))
 			for i, s := range subs {
 				members[i] = s.Initial()

@@ -69,6 +69,23 @@ func TestFlightQueryDigests(t *testing.T) {
 	}
 	requireDigestCases(t, "plain", plain, st)
 	requireDigestCases(t, "statted", newestOf(t, ix, flight.ClassQuery), st)
+	if plain.Aux1 != st.Dominators || st.Dominators >= 10 {
+		t.Fatalf("scanned digest Aux1 = %d, stats dominators = %d, want equal and below k = 10", plain.Aux1, st.Dominators)
+	}
+
+	// A query the dominator pre-pass decides: every product undercuts a
+	// point far above the catalog, so k of them prove the answer empty
+	// before any scan — the digest records zero cases and Aux1 = k, the
+	// count WithStats reports.
+	high := Vector{1e9, 1e9, 1e9, 1e9}
+	res, err := ix.ReverseTopKCtx(ctx, high, 10, WithStats(&st))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec = newestOf(t, ix, flight.ClassQuery)
+	if res != nil || rec.Outcome != flight.OutcomeOK || rec.Case1+rec.Case2+rec.Case3 != 0 || rec.Aux1 != 10 || st.Dominators != 10 {
+		t.Fatalf("decided query: answer %v, record %+v, stats %+v; want empty, zero cases, Aux1 = dominators = 10", res, rec, st)
+	}
 
 	// Statted reverse k-ranks: the scan's case breakdown lands in the
 	// digest.

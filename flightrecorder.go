@@ -35,7 +35,8 @@ func (ix *Index) FlightEnabled() bool { return ix.fr != nil }
 type queryDigest struct {
 	epoch uint64
 	// work is the scan's own counter set: every scanned query's Case-1/2/3
-	// breakdown, zero on an answer-cache hit and before the scan.
+	// breakdown and dominator count, zero on an answer-cache hit and
+	// before the scan.
 	work             stats.Counters
 	traceHi, traceLo uint64
 	cacheHit         bool
@@ -60,7 +61,9 @@ func flightOutcome(err error) flight.Outcome {
 // ReverseTopKCtx / ReverseKRanksCtx call, including error returns.
 // Case1/2/3 are the scan's own counts, so every scanned query records
 // its breakdown — batch items, traced and fanned-out queries alike — and
-// a cache hit records zeros.
+// a cache hit records zeros. Aux1 is the dominator pre-pass's count: a
+// reverse top-k digest with Aux1 = K and zero cases is a query the
+// pre-pass decided without a scan.
 func (ix *Index) recordQuery(op flight.Op, k int, start time.Time, dig queryDigest, err error) {
 	if ix.fr == nil {
 		return
@@ -77,6 +80,7 @@ func (ix *Index) recordQuery(op flight.Op, k int, start time.Time, dig queryDige
 		Case1:   dig.work.Case1Filtered,
 		Case2:   dig.work.Case2Filtered,
 		Case3:   dig.work.Refinements,
+		Aux1:    dig.work.Dominators,
 		TraceHi: dig.traceHi,
 		TraceLo: dig.traceLo,
 	}

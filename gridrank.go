@@ -89,6 +89,12 @@ type Stats struct {
 	Case2Filtered int64
 	// Refined is the number of points needing an exact score.
 	Refined int64
+	// Dominators is the number of products found, before the scan, to
+	// undercut the query in every attribute by more than the rounding
+	// margin: each scores below the query under every preference, so it
+	// counts into every rank. A reverse top-k query stops counting at k,
+	// and k dominators decide its (empty) answer without a scan.
+	Dominators int64
 }
 
 // FilterRate is Filtered / (Filtered + Refined), the fraction of examined
@@ -108,6 +114,7 @@ func fromCounters(c *stats.Counters) Stats {
 		Case1Filtered: c.Case1Filtered,
 		Case2Filtered: c.Case2Filtered,
 		Refined:       c.Refinements,
+		Dominators:    c.Dominators,
 	}
 }
 

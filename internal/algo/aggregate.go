@@ -53,11 +53,12 @@ func (gr *GIR) AggregateReverseRank(Q []vec.Vector, k int, sink *stats.Counters)
 	if k <= 0 || len(Q) == 0 {
 		return nil
 	}
-	// One Domin buffer per bundle member: dominance is per query point
-	// and reusable across all preferences.
-	doms := make([]*domin, len(Q))
-	for i := range doms {
-		doms[i] = gr.newGroupedDomin()
+	// One complete dominator set per bundle member, found before the
+	// scan: dominance is per query point and shared by all preferences.
+	doms := make([]*dominSet, len(Q))
+	for i, q := range Q {
+		doms[i] = gr.newDominSet()
+		gr.dominators(q, maxInt, doms[i], nil, &c)
 	}
 	scratch := gr.newScratch()
 	h := topk.NewKRankHeap(k)

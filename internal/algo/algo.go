@@ -33,6 +33,8 @@
 package algo
 
 import (
+	"math"
+
 	"gridrank/internal/stats"
 	"gridrank/internal/topk"
 	"gridrank/internal/vec"
@@ -53,66 +55,120 @@ type RKRAlgorithm interface {
 	ReverseKRanks(q vec.Vector, k int, c *stats.Counters) []topk.Match
 }
 
-// domin is the Domin buffer of Algorithm 1: the set of points known to
-// dominate q (strictly smaller on every attribute), which therefore rank
-// above q under every legal weight vector. It memoizes dominance checks so
-// each point is tested at most once per query.
+// Dominance by more than the rounding margin.
+//
+// Algorithm 1's Domin buffer and Algorithm 2's early exit rest on one
+// fact: a product p that is smaller than q on every attribute scores
+// below q under every non-negative weight vector. That holds in real
+// arithmetic, but ranks compare computed scores, and a product one ulp
+// below q in every coordinate can score exactly f_w(q) under some w —
+// a tie, which never counts against q. Every dominance test of this
+// package therefore asks for more: p dominates q by the margin m(q)
+// when q_i − p_i > m(q) on every attribute, with
+//
+//	m(q) = 3·γ_d·max_i |q_i|,   γ_d = d·u/(1 − d·u),   u = 2⁻⁵³.
+//
+// Proof that such a p scores strictly below q under every stored
+// preference w (attributes and weights non-negative, w ≠ 0, no
+// underflow). vec.Dot sums d products in index order, so its computed
+// value ŝ(x) satisfies |ŝ(x) − w·x| ≤ γ_d·Σ_i w_i·|x_i| (Higham,
+// Accuracy and Stability of Numerical Algorithms, §3.1; a fused
+// multiply-add only removes roundings). With 0 ≤ p_i < q_i both error
+// terms are at most γ_d·max_i q_i·Σ_i w_i, hence
+//
+//	ŝ(p) − ŝ(q) ≤ w·(p − q) + 2·γ_d·max_i q_i·Σ_i w_i
+//	            < −m(q)·Σ_i w_i + 2·γ_d·max_i q_i·Σ_i w_i < 0,
+//
+// the strict step because some w_i > 0 and q_i − p_i > m(q) on every
+// attribute. The weight sum cancels, so the bound holds for any
+// non-zero w; stored preferences sum to 1 ± 10⁻⁶. The factor 3 rather
+// than 2 leaves room for the rounding of m(q) itself and of the
+// per-query thresholds q_i − m(q) (dominanceBounds), each a few ulps of
+// max_i q_i against a slack of γ_d·max_i q_i ≥ u·max_i q_i; and it lets
+// the tree baselines' box tests (beatMargin), where the weight sum does
+// not cancel, reuse m(q) for weight sums up to 1.49.
+//
+// A near-tie product that fails the margin test is not lost: the scans
+// count it by exact scoring like any other row.
+
+// unitRoundoff is u = 2⁻⁵³, the unit roundoff of float64.
+const unitRoundoff = 0x1p-53
+
+// gamma is γ_n = n·u/(1 − n·u), the relative error bound of an n-term
+// floating-point sum of products.
+func gamma(n int) float64 {
+	nu := float64(n) * unitRoundoff
+	return nu / (1 - nu)
+}
+
+// dominanceMargin is m(q) = 3·γ_d·max_i |q_i|, the margin by which a
+// product must undercut q on every attribute to count as a dominator.
+func dominanceMargin(q vec.Vector) float64 {
+	mx := 0.0
+	for _, x := range q {
+		mx = max(mx, math.Abs(x))
+	}
+	return 3 * gamma(len(q)) * mx
+}
+
+// dominanceBounds fills t, of q's length, with the per-attribute
+// thresholds q_i − m(q) and returns it: p dominates q by the margin
+// exactly when p_i < t_i on every attribute (belowAll).
+func dominanceBounds(t []float64, q vec.Vector) []float64 {
+	m := dominanceMargin(q)
+	t = t[:len(q)]
+	for i, x := range q {
+		t[i] = x - m
+	}
+	return t
+}
+
+// belowAll reports whether p_i < t_i on every attribute. t must be at
+// least as long as p.
+func belowAll(p, t []float64) bool {
+	t = t[:len(p)]
+	for i, x := range p {
+		if !(x < t[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// domin is the Domin buffer of Algorithm 1, as SIM and SparseGIR keep
+// it: the set of points known to dominate q by the rounding margin,
+// which therefore rank above q under every stored weight vector. It
+// memoizes dominance checks so each point is tested at most once per
+// query. GIR finds its dominators up front instead (dominSet, gir.go).
 type domin struct {
 	dominates []bool
 	checked   []bool
 	count     int
-	// shared, when non-nil, receives every first discovery so the
-	// parallel GIR workers can maintain an exact distinct-dominator count
-	// across their private buffers (see gir_parallel.go).
-	shared *sharedDomin
-	// Group wiring (nil for the ungrouped SIM/Sparse scans). groupOf maps
-	// a point to its cell group; groupLive counts each group's members
-	// NOT yet known to dominate q — it is the single load the grouped
-	// scan's hot loop makes per group, initialized to the group sizes and
-	// decremented on dominator discovery; groupChecked counts memoized
-	// dominance tests per group, so a fully-checked group skips the
-	// member-observe loop.
-	groupOf      []int32
-	groupSizes   []int32 // immutable template groupLive resets from
-	groupLive    []int32
-	groupChecked []int32
+	t         []float64 // dominanceBounds(q)
 }
 
-func newDomin(n int) *domin {
-	return &domin{dominates: make([]bool, n), checked: make([]bool, n)}
-}
-
-// reset clears the buffer for pooled reuse by a new query.
-func (d *domin) reset() {
-	clear(d.dominates)
-	clear(d.checked)
-	d.count = 0
-	d.shared = nil
-	copy(d.groupLive, d.groupSizes)
-	clear(d.groupChecked)
+// newDomin returns an empty buffer for query q over n points.
+func newDomin(n int, q vec.Vector) *domin {
+	return &domin{
+		dominates: make([]bool, n),
+		checked:   make([]bool, n),
+		t:         dominanceBounds(make([]float64, len(q)), q),
+	}
 }
 
 // has reports whether point pj is a known dominator of q.
 func (d *domin) has(pj int) bool { return d.dominates[pj] }
 
-// observe tests dominance of p over q once; subsequent calls are free.
-func (d *domin) observe(pj int, p, q vec.Vector) {
+// observe tests dominance of point pj, p, over q once; subsequent calls
+// are free.
+func (d *domin) observe(pj int, p vec.Vector) {
 	if d.checked[pj] {
 		return
 	}
 	d.checked[pj] = true
-	if d.groupChecked != nil {
-		d.groupChecked[d.groupOf[pj]]++
-	}
-	if vec.Dominates(p, q) {
+	if belowAll(p, d.t) {
 		d.dominates[pj] = true
 		d.count++
-		if d.groupLive != nil {
-			d.groupLive[d.groupOf[pj]]--
-		}
-		if d.shared != nil {
-			d.shared.claim(pj)
-		}
 	}
 }
 

@@ -2,6 +2,7 @@ package algo
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -377,4 +378,57 @@ func equalMatches(a, b []topk.Match) bool {
 		}
 	}
 	return true
+}
+
+// TestDominanceMarginStrict checks the rounding-margin proof of algo.go
+// at its edge: the product closest to q that still passes the dominance
+// test (every attribute one ulp below q_i − m(q)) scores strictly below
+// q under random preferences summing to 1 ± 10⁻⁶, across dimensions and
+// attribute scales, while a product one ulp below q in every attribute
+// — a possible tie — never passes.
+func TestDominanceMarginStrict(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	trials := 200000
+	if testing.Short() {
+		trials = 20000
+	}
+	for trial := 0; trial < trials; trial++ {
+		d := 1 + rng.Intn(16)
+		scale := math.Pow(10, float64(rng.Intn(9)-2))
+		q := make(vec.Vector, d)
+		for i := range q {
+			q[i] = (0.5 + rng.Float64()) * scale
+		}
+		w := make(vec.Vector, d)
+		sum := 0.0
+		for i := range w {
+			if rng.Intn(4) > 0 {
+				w[i] = rng.Float64()
+			}
+			sum += w[i]
+		}
+		if sum == 0 {
+			continue
+		}
+		s := (1 + (rng.Float64()*2-1)*1e-6) / sum
+		for i := range w {
+			w[i] *= s
+		}
+		bounds := dominanceBounds(make([]float64, d), q)
+		edge := make(vec.Vector, d)
+		tie := make(vec.Vector, d)
+		for i := range q {
+			edge[i] = math.Nextafter(bounds[i], math.Inf(-1))
+			tie[i] = math.Nextafter(q[i], 0)
+		}
+		if !belowAll(edge, bounds) {
+			t.Fatalf("trial %d: the edge product fails its own test", trial)
+		}
+		if fp, fq := vec.Dot(w, edge), vec.Dot(w, q); !(fp < fq) {
+			t.Fatalf("trial %d: d=%d q=%v w=%v: product past the margin scores %v, q %v", trial, d, q, w, fp, fq)
+		}
+		if belowAll(tie, bounds) {
+			t.Fatalf("trial %d: a product one ulp below q passes the margin test", trial)
+		}
+	}
 }

@@ -57,18 +57,18 @@ func (b *BBR) ReverseTopK(q vec.Vector, k int, c *stats.Counters) []int {
 		return nil
 	}
 	var res []int
-	b.visitWNode(b.wt.Root(), q, k, &res, c)
+	b.visitWNode(b.wt.Root(), q, dominanceMargin(q), k, &res, c)
 	sort.Ints(res)
 	return res
 }
 
-func (b *BBR) visitWNode(n *rtree.Node, q vec.Vector, k int, res *[]int, c *stats.Counters) {
+func (b *BBR) visitWNode(n *rtree.Node, q vec.Vector, m float64, k int, res *[]int, c *stats.Counters) {
 	if c != nil {
 		c.NodesVisited++
 	}
 	wlo, whi := n.MBR.Lo, n.MBR.Hi
 	// Group-level lower bound on every weight's rank.
-	if countBeatAll(b.pt.Root(), q, wlo, whi, k, c) >= k {
+	if countBeatAll(b.pt.Root(), q, wlo, whi, m, k, c) >= k {
 		if c != nil {
 			c.WeightsPruned += int64(n.Size)
 		}
@@ -76,7 +76,7 @@ func (b *BBR) visitWNode(n *rtree.Node, q vec.Vector, k int, res *[]int, c *stat
 	}
 	// Group-level upper bound: if even the loosest rank stays below k,
 	// every weight in the box qualifies.
-	if countBeatSome(b.pt.Root(), q, wlo, whi, k, c) < k {
+	if countBeatSome(b.pt.Root(), q, wlo, whi, m, k, c) < k {
 		appendWeights(n, res)
 		return
 	}
@@ -93,7 +93,7 @@ func (b *BBR) visitWNode(n *rtree.Node, q vec.Vector, k int, res *[]int, c *stat
 		return
 	}
 	for _, child := range n.Children {
-		b.visitWNode(child, q, k, res, c)
+		b.visitWNode(child, q, m, k, res, c)
 	}
 }
 

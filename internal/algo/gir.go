@@ -46,9 +46,11 @@ type GIR struct {
 	pm *vec.Matrix
 	wm *vec.Matrix
 
-	// DisableDomin turns off the Domin buffer (Algorithm 1's dominating-
-	// point memoization). Queries stay correct; the flag exists for the
-	// ablation experiment that measures what the buffer is worth.
+	// DisableDomin skips the dominator pre-pass (Algorithm 2 lines 7–8,
+	// run as each query's first step; see dominSet). Queries stay
+	// correct, since the scan then counts every dominator by its bounds
+	// or its exact score; the flag exists for the ablation experiment
+	// that measures what the pre-pass is worth.
 	DisableDomin bool
 
 	g  grid.Bounder
@@ -61,7 +63,7 @@ type GIR struct {
 	// cached so the hot loop reaches it in one load.
 	pk *bits.PackedRows
 
-	// pool recycles per-query state (Domin buffer, bound scratch, result
+	// pool recycles per-query state (dominator set, bound scratch, result
 	// heap and buffers) so steady-state queries allocate only their result
 	// slice. Shared by the inline scan and the fanned-out workers.
 	pool sync.Pool
@@ -267,9 +269,10 @@ func (gr *GIR) WeightGroups() int { return gr.wg.Groups() }
 // when the rank reached cutoff (the paper's "return -1").
 //
 // Grouped counting is exact (DESIGN.md §9): the returned rank is the
-// number of points scoring strictly below f_w(q) (dominators counted
-// through dom.count, Case-1 groups in one addition, Case-3 members by
-// exact refinement), so the (rank, ok) contract is identical to the
+// number of points scoring strictly below f_w(q) — dom's dominators,
+// found before the scan and counted into the initial rank, then the
+// live members of Case-1 groups in one addition each and Case-3 members
+// by exact refinement — so the (rank, ok) contract is identical to the
 // per-point scan for every cutoff.
 //
 // Two deliberate deviations from the paper's pseudocode, both discussed in
@@ -282,17 +285,16 @@ func (gr *GIR) WeightGroups() int { return gr.wg.Groups() }
 // The scan walks the packed row store in blocks of RowBlock live groups:
 // one width-specialized kernel call classifies a whole block (see
 // gir_packed.go), then the block's groups are consumed one by one in
-// scan order. The rare paths (first-time dominance sweeps, multi-member
-// refinement) live in noinline helpers below to keep their state out of
-// this frame.
+// scan order. Multi-member refinement lives in a noinline helper below
+// to keep its state out of this frame.
 //
 // Every call counts its work into c, the query's (or the worker's)
 // counter set, with the per-group definitions of DESIGN.md §9.
-func (gr *GIR) rankBounded(wi int, q vec.Vector, cutoff int, dom *domin, scratch *girScratch, c *stats.Counters) (int, bool) {
+func (gr *GIR) rankBounded(wi int, q vec.Vector, cutoff int, dom *dominSet, scratch *girScratch, c *stats.Counters) (int, bool) {
 	w := gr.wm.Row(wi)
 	fq := vec.Dot(w, q)
 	c.PairwiseMults++
-	rnk := dom.count
+	rnk := len(dom.groups)
 	if rnk >= cutoff {
 		return cutoff, false
 	}
@@ -306,20 +308,19 @@ func (gr *GIR) rankBounded(wi int, q vec.Vector, cutoff int, dom *domin, scratch
 	d := gr.pa.Dim()
 	classify4 := packedClassify4Func(b)
 	single := gr.pg.Single()
-	groupLive := dom.groupLive
+	groupLive := dom.live
 	nG := len(groupLive)
 	for g := 0; g < nG; {
-		// Gather the next RowBlock groups still live in scan order.
-		// Fully-dominated groups (every member a known dominator, counted
-		// into the initial rnk) are skipped before classification, so the
-		// kernel only ever prices rows that need pricing. Liveness only
-		// decreases, so a group skipped here stays skipped; a group
-		// gathered here is re-checked at consume time below.
-		var gs [RowBlock]int32
+		// Gather the next RowBlock groups with live members in scan
+		// order, with their live counts. Fully-dominated groups (every
+		// member a dominator, counted into the initial rnk) are skipped
+		// before classification, so the kernel only ever prices rows
+		// that need pricing. The counts are fixed for the whole query.
+		var gs, lv [RowBlock]int32
 		cnt := 0
 		for ; g < nG && cnt < RowBlock; g++ {
-			if groupLive[g] != 0 {
-				gs[cnt] = int32(g)
+			if l := groupLive[g]; l != 0 {
+				gs[cnt], lv[cnt] = int32(g), l
 				cnt++
 			}
 		}
@@ -332,12 +333,9 @@ func (gr *GIR) rankBounded(wi int, q vec.Vector, cutoff int, dom *domin, scratch
 			// All four rows Case 2 is the scan's most common block: q
 			// precedes every member, nothing refines and rnk does not
 			// move. It is counted whole and dropped on one compare
-			// instead of four unpredictable per-group branches. No
-			// dominator can be observed between the gather and here, so
-			// the gathered groups are all still live and their live
-			// counts are exactly what the per-group path would add.
+			// instead of four unpredictable per-group branches.
 			if cs4 == allCaseAfter {
-				live := int64(groupLive[gs[0]] + groupLive[gs[1]] + groupLive[gs[2]] + groupLive[gs[3]])
+				live := int64(lv[0] + lv[1] + lv[2] + lv[3])
 				c.BoundSums += RowBlock
 				c.ApproxVisited += RowBlock
 				c.Filtered += live
@@ -346,13 +344,7 @@ func (gr *GIR) rankBounded(wi int, q vec.Vector, cutoff int, dom *domin, scratch
 			}
 		}
 		for t := 0; t < cnt; t, cs4 = t+1, cs4>>8 {
-			gi := int(gs[t])
-			live := int(groupLive[gi])
-			if live == 0 {
-				// Killed by a dominator observed since the gather; its
-				// members are already counted into rnk.
-				continue
-			}
+			gi, live := int(gs[t]), int(lv[t])
 			c.BoundSums++
 			c.ApproxVisited++
 			cs := int32(cs4 & 0xff)
@@ -363,12 +355,6 @@ func (gr *GIR) rankBounded(wi int, q vec.Vector, cutoff int, dom *domin, scratch
 				rnk += live
 				c.Filtered += int64(live)
 				c.Case1Filtered += int64(live)
-				// Dominance-test the members once per query (memoized);
-				// after the group is fully checked this branch is two
-				// loads.
-				if !gr.DisableDomin && dom.groupChecked[gi] < dom.groupSizes[gi] {
-					gr.observeGroup(gi, dom, q)
-				}
 				if rnk >= cutoff {
 					return cutoff, false
 				}
@@ -380,17 +366,13 @@ func (gr *GIR) rankBounded(wi int, q vec.Vector, cutoff int, dom *domin, scratch
 				// scan, but refining immediately keeps rnk an exact running
 				// count, so the cutoff fires as early as possible.
 				if pj := int(single[gi]); pj >= 0 {
-					// Singleton: live > 0 already proves the lone member is
-					// not a known dominator, so the dom.has load is skipped.
+					// Singleton: live > 0 proves the lone member is not a
+					// dominator.
 					c.PairwiseMults++
 					c.Refinements++
 					c.PointsVisited++
-					p := gr.pm.Row(pj)
-					if vec.Dot(w, p) < fq {
+					if vec.Dot(w, gr.pm.Row(pj)) < fq {
 						rnk++
-						if !gr.DisableDomin {
-							dom.observe(pj, p, q)
-						}
 						if rnk >= cutoff {
 							return cutoff, false
 						}
@@ -398,7 +380,7 @@ func (gr *GIR) rankBounded(wi int, q vec.Vector, cutoff int, dom *domin, scratch
 					continue
 				}
 				var ok bool
-				if rnk, ok = gr.refineGroup(gi, w, q, fq, rnk, cutoff, dom, c); !ok {
+				if rnk, ok = gr.refineGroup(gi, live, w, fq, rnk, cutoff, dom, c); !ok {
 					return cutoff, false
 				}
 			} else { // Case 2: q precedes the whole group
@@ -418,42 +400,30 @@ const (
 	caseRefine int32 = 3 // bounds straddle f_w(q): members need exact scores
 )
 
-// observeGroup runs the memoized dominance test over every member of point
-// group g. It is called at most once per (group, query) with work to do —
-// afterwards the groupChecked counter short-circuits the caller — and is
-// kept out of rankBounded's frame (noinline) so its member-list state does
-// not bloat the hot loop's register pressure.
+// refineGroup resolves a Case-3 group with several members, live of
+// them not dominators, by exact refinement, returning the updated
+// running rank and ok=false when the cutoff fired. Dominators are
+// already counted into rnk, so a group with fewer live members than
+// members skips them, re-testing each member against dom's thresholds;
+// a group without dominators tests nothing. Out of line so its
+// member-list state does not bloat rankBounded's frame: multi-member
+// groups either don't occur (continuous data) or amortize the call over
+// their whole member list (catalog data).
 //
 //go:noinline
-func (gr *GIR) observeGroup(g int, dom *domin, q vec.Vector) {
-	for _, m := range gr.pg.Members(g) {
-		pj := int(m)
-		dom.observe(pj, gr.pm.Row(pj), q)
-	}
-}
-
-// refineGroup resolves a Case-3 group with several members by exact
-// refinement, returning the updated running rank and ok=false when the
-// cutoff fired. Out of line for the same register-pressure reason as
-// observeGroup: multi-member groups either don't occur (continuous data)
-// or amortize the call over their whole member list (catalog data).
-//
-//go:noinline
-func (gr *GIR) refineGroup(g int, w, q vec.Vector, fq float64, rnk, cutoff int, dom *domin, c *stats.Counters) (int, bool) {
-	for _, m := range gr.pg.Members(g) {
-		pj := int(m)
-		if dom.has(pj) {
+func (gr *GIR) refineGroup(g, live int, w vec.Vector, fq float64, rnk, cutoff int, dom *dominSet, c *stats.Counters) (int, bool) {
+	members := gr.pg.Members(g)
+	mixed := live < len(members)
+	for _, m := range members {
+		p := gr.pm.Row(int(m))
+		if mixed && belowAll(p, dom.t) {
 			continue
 		}
 		c.PairwiseMults++
 		c.Refinements++
 		c.PointsVisited++
-		p := gr.pm.Row(pj)
 		if vec.Dot(w, p) < fq {
 			rnk++
-			if !gr.DisableDomin {
-				dom.observe(pj, p, q)
-			}
 			if rnk >= cutoff {
 				return cutoff, false
 			}
@@ -502,29 +472,82 @@ func (gr *GIR) newScratch() *girScratch {
 	}
 }
 
-// newGroupedDomin allocates a Domin buffer wired to the point groups, so
-// grouped Case-1 counting can add whole groups of live (non-dominator)
-// members in one step.
-func (gr *GIR) newGroupedDomin() *domin {
-	d := newDomin(gr.pm.Len())
-	d.groupOf = gr.pg.GroupMap()
-	nG := gr.pg.Groups()
-	d.groupSizes = make([]int32, nG)
-	for g := 0; g < nG; g++ {
-		d.groupSizes[g] = int32(gr.pg.Size(g))
-	}
-	d.groupLive = make([]int32, nG)
-	copy(d.groupLive, d.groupSizes)
-	d.groupChecked = make([]int32, nG)
-	return d
+// dominSet is one query's dominators: the products that dominate q by
+// the rounding margin (algo.go), each of which scores strictly below q
+// under every stored preference. The dominators pre-pass fills it
+// before the scan — Algorithm 2 lines 7–8 as the query's first step
+// rather than Algorithm 1's lazy Domin buffer — so it is complete (or
+// has reached the reverse top-k limit) before any preference is ranked.
+// It is written once per query and then read, concurrently by every
+// fan-out worker, but never written again: each point group's live
+// count is fixed for the query and every preference's rank starts at
+// the dominator count. Pooled with the query state; reset undoes
+// exactly the previous query's writes, so recycling costs O(dominators).
+type dominSet struct {
+	groups []int32   // each dominator's point group, in row order
+	live   []int32   // per point group: members that are not dominators
+	t      []float64 // dominanceBounds of the query, d floats
 }
 
-// queryState is the pooled per-query working set: Domin buffer, bound
+func (gr *GIR) newDominSet() *dominSet {
+	nG := gr.pg.Groups()
+	live := make([]int32, nG)
+	for g := range live {
+		live[g] = int32(gr.pg.Size(g))
+	}
+	return &dominSet{live: live, t: make([]float64, gr.pa.Dim())}
+}
+
+// reset empties the set for the next query, restoring the live counts
+// the previous one decremented.
+func (ds *dominSet) reset() {
+	for _, g := range ds.groups {
+		ds.live[g]++
+	}
+	ds.groups = ds.groups[:0]
+}
+
+// dominators is the dominator pre-pass, skipped when DisableDomin is
+// set: one pass over the row-major products, O(|P|·d) comparisons with
+// most rows rejected on their first attribute, that adds every row
+// dominating q by the margin to dom (empty on entry) until limit rows
+// are found, and returns the number found. It records the count in c
+// and a dominators span on tr: rows read, the count, and whether the
+// count decided the answer (reached limit).
+func (gr *GIR) dominators(q vec.Vector, limit int, dom *dominSet, tr *trace.Trace, c *stats.Counters) int {
+	if gr.DisableDomin {
+		return 0
+	}
+	sp := tr.StartSpan("dominators")
+	t := dominanceBounds(dom.t, q)
+	data, d := gr.pm.Data(), len(t)
+	groupOf := gr.pg.GroupMap()
+	read := 0
+	for ; read < len(groupOf) && len(dom.groups) < limit; read++ {
+		if belowAll(data[read*d:read*d+d], t) {
+			g := groupOf[read]
+			dom.groups = append(dom.groups, g)
+			dom.live[g]--
+		}
+	}
+	n := len(dom.groups)
+	c.Dominators += int64(n)
+	decided := int64(0)
+	if n >= limit {
+		decided = 1
+	}
+	sp.SetInt("rows_read", int64(read)).SetInt("dominators", int64(n)).SetInt("decided", decided).End()
+	return n
+}
+
+// queryState is the pooled per-query working set: dominator set, bound
 // scratch, result heap and collection buffer. getState resets the parts
 // that must not leak between queries; the scratch's gathered columns stay
-// valid across queries and are kept.
+// valid across queries and are kept. A fanned-out query's workers use
+// their own state's scratch, heap and buffer, and the coordinator's
+// dominator set.
 type queryState struct {
-	dom     *domin
+	dom     *dominSet
 	scratch *girScratch
 	heap    *topk.KRankHeap
 	res     []int
@@ -539,7 +562,7 @@ func (gr *GIR) getState() *queryState {
 		return st
 	}
 	return &queryState{
-		dom:     gr.newGroupedDomin(),
+		dom:     gr.newDominSet(),
 		scratch: gr.newScratch(),
 		heap:    topk.NewKRankHeap(1),
 	}
@@ -583,11 +606,19 @@ func (gr *GIR) ReverseTopK(q vec.Vector, k int, sink *stats.Counters) []int {
 // workers left behind; a cancelled query returns a nil answer and the
 // counts of the work it did.
 //
-// Tracing: when opts.Trace is recording, the scan and result merge emit
-// spans carrying the query's per-case breakdown (Case-1 adds, Case-2
-// skips, Case-3 refinements, the filter rate and the dominator count),
-// plus one scan.worker child per goroutine when fanned out. A nil trace
-// is the common case and adds no work to the query path.
+// Dominators first: before any preference is ranked, one pass over the
+// products counts those that dominate q by the rounding margin, stopping
+// at k. k of them put q at rank k or worse under every preference
+// (Algorithm 2 lines 7–8), so the answer is empty and the query returns
+// without gathering a bound column or starting a worker. Otherwise the
+// complete set starts every preference's rank (DESIGN.md §7, §9).
+//
+// Tracing: when opts.Trace is recording, the pre-pass, the scan and the
+// result merge emit spans — dominators (rows read, the count, whether
+// it decided the answer), scan (the per-case breakdown: Case-1 adds,
+// Case-2 skips, Case-3 refinements, the filter rate) with one
+// scan.worker child per goroutine when fanned out, and merge. A nil
+// trace is the common case and adds no work to the query path.
 func (gr *GIR) ReverseTopKOpts(ctx context.Context, q vec.Vector, k int, opts QueryOpts) ([]int, stats.Counters, error) {
 	c := stats.Counters{Queries: 1}
 	if k <= 0 {
@@ -596,27 +627,25 @@ func (gr *GIR) ReverseTopKOpts(ctx context.Context, q vec.Vector, k int, opts Qu
 	if err := ctx.Err(); err != nil {
 		return nil, c, err
 	}
-	sp := opts.Trace.StartSpan("scan")
-	var (
-		res        []int
-		dominators int
-	)
-	if workers := normalizeWorkers(opts.Workers, gr.wm.Len()); workers > 1 {
-		res, dominators = gr.reverseTopKFanOut(ctx, q, k, workers, sp, &c)
-	} else {
-		st := gr.getState()
-		defer gr.putState(st)
-		gr.scanTopK(ctx, q, k, st, nil, &c)
-		res, dominators = st.res, st.dom.count
+	st := gr.getState()
+	defer gr.putState(st)
+	if gr.dominators(q, k, st.dom, opts.Trace, &c) >= k {
+		return nil, c, nil
 	}
-	setScanAttrs(sp, &c, dominators, k, gr.wm.Len())
+	sp := opts.Trace.StartSpan("scan")
+	var res []int
+	if workers := normalizeWorkers(opts.Workers, gr.wm.Len()); workers > 1 {
+		res = gr.reverseTopKFanOut(ctx, q, k, workers, st.dom, sp, &c)
+	} else {
+		gr.scanTopK(ctx, q, k, st.dom, st, nil, &c)
+		res = st.res
+	}
+	setScanAttrs(sp, &c, k, gr.wm.Len())
 	sp.End()
 	if err := ctx.Err(); err != nil {
 		return nil, c, err
 	}
-	// Algorithm 2 lines 7–8: k distinct dominators imply every weight
-	// ranks q at k or worse, so the answer is empty.
-	if dominators >= k || len(res) == 0 {
+	if len(res) == 0 {
 		return nil, c, nil
 	}
 	msp := opts.Trace.StartSpan("merge")
@@ -660,10 +689,12 @@ func admitCutoff(h *topk.KRankHeap) int {
 // retained rank is passed to GInTop-k as the filtering cutoff and
 // tightens as better weights are found; fanned out, the cutoff also
 // honours a shared watermark. Results, counts, cancellation and tracing
-// follow ReverseTopKOpts; the scan span additionally records the final
-// cutoff — the answer's k-th rank + 1, whatever the worker count — and,
-// on the calling goroutine, the heap's admission count, which together
-// show how quickly the Algorithm 3 bound tightened.
+// follow ReverseTopKOpts, except that the dominator pre-pass always
+// reads every product: its complete set starts every preference's rank
+// and never decides the answer. The scan span additionally records the
+// final cutoff — the answer's k-th rank + 1, whatever the worker count —
+// and, on the calling goroutine, the heap's admission count, which
+// together show how quickly the Algorithm 3 bound tightened.
 func (gr *GIR) ReverseKRanksOpts(ctx context.Context, q vec.Vector, k int, opts QueryOpts) ([]topk.Match, stats.Counters, error) {
 	c := stats.Counters{Queries: 1}
 	if k <= 0 {
@@ -672,22 +703,21 @@ func (gr *GIR) ReverseKRanksOpts(ctx context.Context, q vec.Vector, k int, opts 
 	if err := ctx.Err(); err != nil {
 		return nil, c, err
 	}
+	st := gr.getState()
+	defer gr.putState(st)
+	gr.dominators(q, maxInt, st.dom, opts.Trace, &c)
 	sp := opts.Trace.StartSpan("scan")
-	var (
-		st    *queryState  // the inline scan's state
-		union []topk.Match // the fanned-out workers' local answers
-	)
-	if workers := normalizeWorkers(opts.Workers, gr.wm.Len()); workers > 1 {
-		union = gr.reverseKRanksFanOut(ctx, q, k, workers, sp, &c)
+	var union []topk.Match // the fanned-out workers' local answers
+	workers := normalizeWorkers(opts.Workers, gr.wm.Len())
+	if workers > 1 {
+		union = gr.reverseKRanksFanOut(ctx, q, k, workers, st.dom, sp, &c)
 	} else {
-		st = gr.getState()
-		defer gr.putState(st)
 		st.heap.Reset(k)
-		_, admits := gr.scanKRanks(ctx, q, st, nil, &c)
+		_, admits := gr.scanKRanks(ctx, q, st.dom, st, nil, &c)
 		sp.SetInt("heap_admits", int64(admits))
 	}
 	if err := ctx.Err(); err != nil {
-		setScanAttrs(sp, &c, -1, -1, gr.wm.Len())
+		setScanAttrs(sp, &c, -1, gr.wm.Len())
 		sp.End()
 		return nil, c, err
 	}
@@ -700,17 +730,17 @@ func (gr *GIR) ReverseKRanksOpts(ctx context.Context, q vec.Vector, k int, opts 
 	}
 	msp := opts.Trace.StartSpan("merge")
 	var res []topk.Match
-	if st != nil {
-		res = st.heap.Results()
-	} else {
+	if workers > 1 {
 		res = mergeKRanks(union, k)
+	} else {
+		res = st.heap.Results()
 	}
 	msp.SetInt("results", int64(len(res))).End()
 	cutoff := maxInt // fewer than k preferences: no bound
 	if len(res) == k {
 		cutoff = res[k-1].Rank + 1
 	}
-	setScanAttrs(sp, &c, -1, cutoff, gr.wm.Len())
+	setScanAttrs(sp, &c, cutoff, gr.wm.Len())
 	sp.EndAt(scanEnd)
 	return res, c, nil
 }
@@ -725,19 +755,16 @@ func cutoffAttr(cut int) int64 {
 }
 
 // setScanAttrs attaches c, the per-case breakdown of Section 3.1 the
-// span's scan (or scan.worker) counted, to sp. dominators < 0 and
-// cutoff < 0 suppress the respective attribute (workers own neither the
-// dominator count nor the final cutoff); cutoff = maxInt, no bound, is
-// recorded as -1.
-func setScanAttrs(sp *trace.Span, c *stats.Counters, dominators, cutoff, weights int) {
+// span's scan (or scan.worker) counted, to sp. cutoff < 0 and
+// weights < 0 suppress the respective attribute (workers own neither
+// the final cutoff nor the preference count); cutoff = maxInt, no
+// bound, is recorded as -1.
+func setScanAttrs(sp *trace.Span, c *stats.Counters, cutoff, weights int) {
 	if sp == nil {
 		return
 	}
 	if weights >= 0 {
 		sp.SetInt("weights", int64(weights))
-	}
-	if dominators >= 0 {
-		sp.SetInt("dominators", int64(dominators))
 	}
 	if cutoff >= 0 {
 		sp.SetInt("cutoff_final", cutoffAttr(cutoff))

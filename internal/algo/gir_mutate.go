@@ -6,8 +6,8 @@ package algo
 // instances share everything the mutation did not touch — the grid
 // table always, and the whole untouched side (a point mutation reuses
 // wa/wg as-is, a weight mutation reuses pa/pg). The derived GIR starts
-// with an empty query-state pool, so pooled Domin buffers and group
-// counters are always sized for their own epoch. The packed row store
+// with an empty query-state pool, so pooled dominator sets and their
+// group counts are always sized for their own epoch. The packed row store
 // travels with the point grouping: its derivations re-encode only the
 // rows they touch, so a derived GIR scans at its parent's width.
 //

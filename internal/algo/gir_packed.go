@@ -23,12 +23,11 @@ package algo
 // Case 3 unpacks nothing: refinement needs the exact float64 point, not
 // the cells, so it reads the point matrix. Blocks are gathered from
 // *live* groups only, in scan order, so fully-dominated rows are never
-// classified, and counters are incremented only for groups still live
-// at consume time (an all-Case-2 block is counted whole, its groups all
-// still live), so every stats.Counters field equals a one-group-at-a-
-// time scan's. The only speculation left is a group killed by a
-// dominator observed between gather and consume: its classification is
-// wasted arithmetic, but it is skipped unconsumed and uncharged.
+// classified. Live counts are fixed for the whole query (the dominator
+// pre-pass runs before the scan), so the gather records each gathered
+// group's count and an all-Case-2 block is counted whole from those four
+// values: every stats.Counters field equals a one-group-at-a-time
+// scan's, and no classified group is ever discarded unconsumed.
 
 // RowBlock is the widened kernel's block width: classifyPacked4
 // processes this many rows per call. Reported by Index.Layout().

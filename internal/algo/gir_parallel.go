@@ -20,32 +20,27 @@ import (
 // Every query runs one scan loop per kind — scanTopK and scanKRanks
 // below. The loop claims chunks of POSITIONS in the cell-sorted visit
 // order and ranks each weight of the chunk with rankBounded, using the
-// caller's pooled state (Domin buffer, bound scratch, heap). At one
-// worker it runs on the calling goroutine with sh == nil: chunks are
-// claimed in sequence, and no goroutine, cursor or shared atomic exists.
-// Fanned out (workers > 1), each worker goroutine runs the same loop
-// with private state and stats.Counters, claiming chunks from the
-// atomic cursor of one scanShared; the coordinator merges the workers'
-// results deterministically, and their counts once, at the end.
-// batch.go parallelizes across queries, so fanning out is for the
+// query's dominator set and the caller's pooled state (bound scratch,
+// heap). At one worker it runs on the calling goroutine with sh == nil:
+// chunks are claimed in sequence, and no goroutine, cursor or shared
+// atomic exists. Fanned out (workers > 1), each worker goroutine runs
+// the same loop with private state and stats.Counters, claiming chunks
+// from the atomic cursor of one scanShared; the coordinator merges the
+// workers' results deterministically, and their counts once, at the
+// end. batch.go parallelizes across queries, so fanning out is for the
 // single large query (the paper's market-analysis case) that would
 // otherwise leave cores idle.
 //
-// Two pieces of cross-worker pruning state keep the sharded scan as
-// effective as the inline one:
-//
-//   - RTK (Algorithm 2 lines 7–8): the global-dominator early exit needs
-//     the number of DISTINCT points known to dominate q across all
-//     workers. A plain shared counter would double-count a dominator
-//     discovered independently by two workers and could fire the empty
-//     answer prematurely, so sharedDomin deduplicates through a CAS
-//     bitset and counts only first claims.
-//
-//   - RKR (Algorithm 3): the heap cutoff h.Threshold() becomes an atomic
-//     watermark. Whenever a worker's local size-k heap is full, its worst
-//     retained rank T proves k matches with rank ≤ T exist, so every
-//     worker may prune any weight whose running rank exceeds T (cutoff
-//     T+1). The watermark is the CAS-minimum of all published T values.
+// The dominators are known before the fan-out starts: the coordinator's
+// pre-pass has either decided a reverse top-k answer (k dominators —
+// no worker starts) or found the complete set, which every worker reads
+// and none writes. So no dominator state crosses workers, and the only
+// cross-worker pruning state is Algorithm 3's: the heap cutoff
+// h.Threshold() becomes an atomic watermark. Whenever a worker's local
+// size-k heap is full, its worst retained rank T proves k matches with
+// rank ≤ T exist, so every worker may prune any weight whose running
+// rank exceeds T (cutoff T+1). The watermark is the CAS-minimum of all
+// published T values.
 //
 // Determinism: answers are bit-identical at every worker count. A
 // worker's shard is an arbitrary subsequence of W by index, and every
@@ -82,13 +77,12 @@ func parallelChunk(nW, workers int) int {
 }
 
 // scanShared is the cross-worker state of one fanned-out scan: the chunk
-// cursor and whichever pruning state the query kind shares. The inline
-// scan passes a nil *scanShared, and every method below has its
+// cursor and, for reverse k-ranks, the shared admission bound. The
+// inline scan passes a nil *scanShared, and every method below has its
 // one-worker meaning on nil.
 type scanShared struct {
 	cursor atomic.Int64
 	chunk  int
-	dom    *sharedDomin   // RTK: distinct dominators across workers
 	wm     *rankWatermark // RKR: the shared admission bound
 }
 
@@ -113,16 +107,6 @@ func (sh *scanShared) claim(ctx context.Context, next *int, n int) (start, end i
 	return start, min(start+chunk, n), start < n
 }
 
-// dominators is the number of distinct points known to dominate q: the
-// worker's own exact count inline, the deduplicated global count when
-// fanned out.
-func (sh *scanShared) dominators(dom *domin) int {
-	if sh == nil {
-		return dom.count
-	}
-	return int(sh.dom.count.Load())
-}
-
 // cutoff is the rank bound for the next weight: the local heap's
 // admission cutoff, tightened by the watermark when fanned out.
 func (sh *scanShared) cutoff(h *topk.KRankHeap) int {
@@ -134,26 +118,20 @@ func (sh *scanShared) cutoff(h *topk.KRankHeap) int {
 }
 
 // scanTopK is the GIRTop-k scan loop (Algorithm 2): it ranks every
-// weight of each claimed chunk against cutoff k, collecting the admitted
-// weights into st.res, until the order is exhausted, k distinct
-// dominators prove the answer empty, or ctx is done. It returns how many
-// weights it ranked.
-func (gr *GIR) scanTopK(ctx context.Context, q vec.Vector, k int, st *queryState, sh *scanShared, c *stats.Counters) (scanned int) {
+// weight of each claimed chunk against cutoff k, starting from dom's
+// dominators (fewer than k), and collects the admitted weights into
+// st.res until the order is exhausted or ctx is done. It returns how
+// many weights it ranked.
+func (gr *GIR) scanTopK(ctx context.Context, q vec.Vector, k int, dom *dominSet, st *queryState, sh *scanShared, c *stats.Counters) (scanned int) {
 	order := gr.wg.MemberOrder()
 	for next := 0; ; {
-		if sh.dominators(st.dom) >= k {
-			return scanned
-		}
 		start, end, ok := sh.claim(ctx, &next, len(order))
 		if !ok {
 			return scanned
 		}
-		for oi, wi := range order[start:end] {
-			if _, ok := gr.rankBounded(int(wi), q, k, st.dom, st.scratch, c); ok {
+		for _, wi := range order[start:end] {
+			if _, ok := gr.rankBounded(int(wi), q, k, dom, st.scratch, c); ok {
 				st.res = append(st.res, int(wi))
-			}
-			if sh.dominators(st.dom) >= k {
-				return scanned + oi + 1
 			}
 		}
 		scanned += end - start
@@ -161,11 +139,11 @@ func (gr *GIR) scanTopK(ctx context.Context, q vec.Vector, k int, st *queryState
 }
 
 // scanKRanks is the GIRk-Rank scan loop (Algorithm 3): it offers every
-// weight of each claimed chunk whose rank beats the current cutoff to
-// st.heap (reset by the caller), until the order is exhausted or ctx is
-// done. It returns how many weights it ranked and how many the heap
-// admitted.
-func (gr *GIR) scanKRanks(ctx context.Context, q vec.Vector, st *queryState, sh *scanShared, c *stats.Counters) (scanned, admits int) {
+// weight of each claimed chunk whose rank, starting from dom's
+// dominators, beats the current cutoff to st.heap (reset by the
+// caller), until the order is exhausted or ctx is done. It returns how
+// many weights it ranked and how many the heap admitted.
+func (gr *GIR) scanKRanks(ctx context.Context, q vec.Vector, dom *dominSet, st *queryState, sh *scanShared, c *stats.Counters) (scanned, admits int) {
 	order := gr.wg.MemberOrder()
 	h := st.heap
 	for next := 0; ; {
@@ -177,7 +155,7 @@ func (gr *GIR) scanKRanks(ctx context.Context, q vec.Vector, st *queryState, sh 
 			// The visit order is not ascending by weight index, so even
 			// the local threshold must admit rank == T ties: T+1, same as
 			// the watermark rule.
-			if rnk, ok := gr.rankBounded(int(wi), q, sh.cutoff(h), st.dom, st.scratch, c); ok {
+			if rnk, ok := gr.rankBounded(int(wi), q, sh.cutoff(h), dom, st.scratch, c); ok {
 				if h.Offer(topk.Match{WeightIndex: int(wi), Rank: rnk}) {
 					admits++
 					if sh != nil {
@@ -187,36 +165,6 @@ func (gr *GIR) scanKRanks(ctx context.Context, q vec.Vector, st *queryState, sh 
 			}
 		}
 		scanned += end - start
-	}
-}
-
-// sharedDomin tracks the distinct dominators of q discovered by any
-// worker. Local Domin buffers publish first discoveries here; the count
-// is exact (never double-counts a point), which makes the Algorithm 2
-// early exit safe under sharding.
-type sharedDomin struct {
-	words []atomic.Uint64 // claim bitset, one bit per point
-	count atomic.Int64    // number of distinct set bits
-}
-
-func newSharedDomin(n int) *sharedDomin {
-	return &sharedDomin{words: make([]atomic.Uint64, (n+63)/64)}
-}
-
-// claim marks point pj as a dominator; only the first claimer increments
-// the count.
-func (s *sharedDomin) claim(pj int) {
-	w := &s.words[pj>>6]
-	bit := uint64(1) << uint(pj&63)
-	for {
-		old := w.Load()
-		if old&bit != 0 {
-			return
-		}
-		if w.CompareAndSwap(old, old|bit) {
-			s.count.Add(1)
-			return
-		}
 	}
 }
 
@@ -292,7 +240,7 @@ func (gr *GIR) fanOut(ctx context.Context, workers int, kind string, k int, sp *
 			scanned := scan(w, st, &cs[w])
 			gr.putState(st)
 			wsp.SetInt("weights_scanned", int64(scanned))
-			setScanAttrs(wsp, &cs[w], -1, -1, -1)
+			setScanAttrs(wsp, &cs[w], -1, -1)
 			wsp.End()
 		}(w)
 	}
@@ -300,15 +248,14 @@ func (gr *GIR) fanOut(ctx context.Context, workers int, kind string, k int, sp *
 	stats.Merge(c, cs)
 }
 
-// reverseTopKFanOut shards GIRTop-k over workers goroutines and returns
-// the union of their admitted weights (unsorted) with the global
-// dominator count, merging the workers' counts into c.
-func (gr *GIR) reverseTopKFanOut(ctx context.Context, q vec.Vector, k, workers int, sp *trace.Span, c *stats.Counters) ([]int, int) {
-	sh := &scanShared{chunk: parallelChunk(gr.wm.Len(), workers), dom: newSharedDomin(gr.pm.Len())}
+// reverseTopKFanOut shards GIRTop-k over workers goroutines, every one
+// reading dom, and returns the union of their admitted weights
+// (unsorted), merging the workers' counts into c.
+func (gr *GIR) reverseTopKFanOut(ctx context.Context, q vec.Vector, k, workers int, dom *dominSet, sp *trace.Span, c *stats.Counters) []int {
+	sh := &scanShared{chunk: parallelChunk(gr.wm.Len(), workers)}
 	parts := make([][]int, workers)
 	gr.fanOut(ctx, workers, "reverse_topk", k, sp, c, func(w int, st *queryState, wc *stats.Counters) int {
-		st.dom.shared = sh.dom
-		scanned := gr.scanTopK(ctx, q, k, st, sh, wc)
+		scanned := gr.scanTopK(ctx, q, k, dom, st, sh, wc)
 		parts[w] = append([]int(nil), st.res...)
 		return scanned
 	})
@@ -316,18 +263,18 @@ func (gr *GIR) reverseTopKFanOut(ctx context.Context, q vec.Vector, k, workers i
 	for w := range parts {
 		res = append(res, parts[w]...)
 	}
-	return res, int(sh.dom.count.Load())
+	return res
 }
 
-// reverseKRanksFanOut shards GIRk-Rank over workers goroutines and
-// returns the union of the workers' local answers for mergeKRanks,
-// merging the workers' counts into c.
-func (gr *GIR) reverseKRanksFanOut(ctx context.Context, q vec.Vector, k, workers int, sp *trace.Span, c *stats.Counters) []topk.Match {
+// reverseKRanksFanOut shards GIRk-Rank over workers goroutines, every
+// one reading dom, and returns the union of the workers' local answers
+// for mergeKRanks, merging the workers' counts into c.
+func (gr *GIR) reverseKRanksFanOut(ctx context.Context, q vec.Vector, k, workers int, dom *dominSet, sp *trace.Span, c *stats.Counters) []topk.Match {
 	sh := &scanShared{chunk: parallelChunk(gr.wm.Len(), workers), wm: newRankWatermark()}
 	parts := make([][]topk.Match, workers)
 	gr.fanOut(ctx, workers, "reverse_kranks", k, sp, c, func(w int, st *queryState, wc *stats.Counters) int {
 		st.heap.Reset(k)
-		scanned, _ := gr.scanKRanks(ctx, q, st, sh, wc)
+		scanned, _ := gr.scanKRanks(ctx, q, dom, st, sh, wc)
 		parts[w] = st.heap.Results()
 		return scanned
 	})

@@ -3,6 +3,7 @@ package algo
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -38,7 +39,7 @@ func refRankBounded(gr *GIR, wi int, q vec.Vector, cutoff int, dom *domin, bnd [
 		if u < fq { // Case 1
 			rnk++
 			if !gr.DisableDomin {
-				dom.observe(pj, gr.Point(pj), q)
+				dom.observe(pj, gr.Point(pj))
 			}
 			if rnk >= cutoff {
 				return cutoff, false
@@ -49,7 +50,7 @@ func refRankBounded(gr *GIR, wi int, q vec.Vector, cutoff int, dom *domin, bnd [
 			if vec.Dot(w, gr.Point(pj)) < fq {
 				rnk++
 				if !gr.DisableDomin {
-					dom.observe(pj, gr.Point(pj), q)
+					dom.observe(pj, gr.Point(pj))
 				}
 				if rnk >= cutoff {
 					return cutoff, false
@@ -97,7 +98,7 @@ func refReverseTopK(gr *GIR, q vec.Vector, k int) []int {
 	if k <= 0 {
 		return nil
 	}
-	dom := newDomin(gr.NumPoints())
+	dom := newDomin(gr.NumPoints(), q)
 	bnd := make([]float64, gr.pa.Dim()*2*gr.g.N())
 	var res []int
 	for wi, nW := 0, gr.NumWeights(); wi < nW; wi++ {
@@ -118,7 +119,7 @@ func refReverseKRanks(gr *GIR, q vec.Vector, k int) []topk.Match {
 	if k <= 0 {
 		return nil
 	}
-	dom := newDomin(gr.NumPoints())
+	dom := newDomin(gr.NumPoints(), q)
 	bnd := make([]float64, gr.pa.Dim()*2*gr.g.N())
 	h := topk.NewKRankHeap(k)
 	for wi, nW := 0, gr.NumWeights(); wi < nW; wi++ {
@@ -235,6 +236,40 @@ func TestGroupedVsReference(t *testing.T) {
 	}
 }
 
+// TestGroupedVsReferencePlanted extends TestGroupedVsReference's
+// families with planted datasets (plantedSets): near-tie products at
+// the rounding margin's edges and 0, k − 1, k and k + 1 dominators,
+// under every packed width. Both query kinds must equal the embedded
+// reference and brute force at workers {1, 2, 4, 8} with the dominator
+// pre-pass on and off; the k − 1 sets pin that no worker count answers
+// empty before k dominators exist.
+func TestGroupedVsReferencePlanted(t *testing.T) {
+	pdists := []dataset.Distribution{dataset.Uniform, dataset.Clustered, dataset.AntiCorrelated, dataset.Normal}
+	wdists := []dataset.Distribution{dataset.Uniform, dataset.Clustered, dataset.Exponential}
+	seeds := 6
+	if testing.Short() {
+		seeds = 3
+	}
+	for i := 0; i < seeds; i++ {
+		rng := rand.New(rand.NewSource(int64(8000 + i)))
+		n := []int{4, 32, 256}[i%3]
+		for _, ps := range plantedSets(rng, pdists[i%len(pdists)], wdists[i%len(wdists)]) {
+			t.Run(fmt.Sprintf("%02d-%s-d%d-n%d", i, ps.name, len(ps.q), n), func(t *testing.T) {
+				checkPlanted(t, ps, n)
+				gir := NewGIR(ps.points, ps.weights, ps.rangeP, n)
+				for _, k := range []int{1, plantedK} {
+					if got, want := rtkAt(gir, ps.q, k, 1, nil), refReverseTopK(gir, ps.q, k); !equalInts(got, want) {
+						t.Fatalf("RTK k=%d: got %v, reference %v", k, got, want)
+					}
+					if got, want := rkrAt(gir, ps.q, k, 1, nil), refReverseKRanks(gir, ps.q, k); !equalMatches(got, want) {
+						t.Fatalf("RKR k=%d: got %+v, reference %+v", k, got, want)
+					}
+				}
+			})
+		}
+	}
+}
+
 // TestGroupedStateReuse hammers one pooled GIR with interleaved query
 // shapes so recycled state (Domin buffer, scratch tag, heap) crossing
 // queries would be caught immediately against brute force.
@@ -346,6 +381,112 @@ func TestScanCountsExact(t *testing.T) {
 				}
 				if got.Filtered != got.Case1Filtered+got.Case2Filtered || got.PointsVisited != got.Refinements || got.Queries != 1 {
 					t.Fatalf("%s: derived counters inconsistent: %+v", name, got)
+				}
+			}
+		}
+	}
+}
+
+// plantedSet is a dataset built around one query point q: products at
+// the rounding margin's edges and a chosen number of dominators, the
+// cases random data never produces.
+type plantedSet struct {
+	name       string
+	points     []vec.Vector
+	weights    []vec.Vector
+	rangeP     float64
+	q          vec.Vector
+	dominators int // products dominating q by the margin; -1 when not pinned
+}
+
+// plantedSets builds the planted families for one seed, for queries at
+// k = plantedK:
+//
+//   - "edge": near-ties at Nextafter(q_i, 0) in every coordinate, and
+//     products at q_i − m·(1 ± 2⁻²⁰) in every coordinate, m the rounding
+//     margin, on both sides of the dominance test (after rounding they
+//     may land on either side, so the count is not pinned);
+//   - "dom0", "dom4", "dom5", "dom6": exactly 0, k − 1, k and k + 1
+//     dominators, plus Nextafter near-ties, which never clear the margin.
+//
+// The random products that dominate q are dropped, so the planted ones
+// are the only dominators.
+func plantedSets(rng *rand.Rand, pd, wd dataset.Distribution) []plantedSet {
+	d := 2 + rng.Intn(6)
+	nP, nW := 40+rng.Intn(100), 30+rng.Intn(90)
+	P := dataset.GenerateProducts(rng, pd, nP, d, dataset.DefaultRange)
+	W := dataset.GenerateWeights(rng, wd, nW, d)
+	q := make(vec.Vector, d)
+	for i := range q {
+		q[i] = (0.3 + 0.4*rng.Float64()) * P.Range
+	}
+	var base []vec.Vector
+	for _, p := range P.Points {
+		if !vec.Dominates(p, q) {
+			base = append(base, p)
+		}
+	}
+	m := dominanceMargin(q)
+	shift := func(f func(qi float64) float64) vec.Vector {
+		p := make(vec.Vector, d)
+		for i, x := range q {
+			p[i] = f(x)
+		}
+		return p
+	}
+	nextTie := func(x float64) float64 { return math.Nextafter(x, 0) }
+	set := func(name string, dominators int, extra ...vec.Vector) plantedSet {
+		pts := append(append([]vec.Vector(nil), base...), extra...)
+		rng.Shuffle(len(pts), func(a, b int) { pts[a], pts[b] = pts[b], pts[a] })
+		return plantedSet{name: name, points: pts, weights: W.Points, rangeP: P.Range, q: q, dominators: dominators}
+	}
+	sets := []plantedSet{set("edge", -1,
+		shift(nextTie), shift(nextTie),
+		shift(func(x float64) float64 { return x - m*(1+0x1p-20) }),
+		shift(func(x float64) float64 { return x - m*(1-0x1p-20) }),
+		shift(func(x float64) float64 { return x - m*(1+0x1p-20) }),
+	)}
+	for _, c := range []int{0, plantedK - 1, plantedK, plantedK + 1} {
+		extra := []vec.Vector{shift(nextTie), shift(nextTie)}
+		for j := 0; j < c; j++ {
+			extra = append(extra, shift(func(x float64) float64 { return x * (0.2 + 0.6*rng.Float64()) }))
+		}
+		sets = append(sets, set(fmt.Sprintf("dom%d", c), c, extra...))
+	}
+	return sets
+}
+
+// plantedK is the k the planted dominator counts are chosen around.
+const plantedK = 5
+
+// checkPlanted runs both query kinds on a planted set at workers
+// {1, 2, 4, 8}, with the dominator pre-pass on and off, against brute
+// force, and pins the pre-pass's dominator count where the set fixes it.
+func checkPlanted(t *testing.T, ps plantedSet, n int) {
+	t.Helper()
+	brute := NewBrute(ps.points, ps.weights)
+	gir := NewGIR(ps.points, ps.weights, ps.rangeP, n)
+	for _, k := range []int{1, plantedK, len(ps.weights)} {
+		wantRTK := brute.ReverseTopK(ps.q, k, nil)
+		wantRKR := brute.ReverseKRanks(ps.q, k, nil)
+		for _, disable := range []bool{false, true} {
+			gir.DisableDomin = disable
+			for _, workers := range []int{1, 2, 4, 8} {
+				var c stats.Counters
+				if got := rtkAt(gir, ps.q, k, workers, &c); !equalInts(got, wantRTK) {
+					t.Fatalf("RTK k=%d workers=%d DisableDomin=%v: got %v want %v", k, workers, disable, got, wantRTK)
+				}
+				checkStatsInvariants(t, &c)
+				if want := int64(min(ps.dominators, k)); ps.dominators >= 0 && !disable && c.Dominators != want {
+					t.Fatalf("RTK k=%d workers=%d: %d dominators, want %d", k, workers, c.Dominators, want)
+				}
+				c.Reset()
+				if got := rkrAt(gir, ps.q, k, workers, &c); !equalMatches(got, wantRKR) {
+					t.Fatalf("RKR k=%d workers=%d DisableDomin=%v: got %+v want %+v", k, workers, disable, got, wantRKR)
+				}
+				checkStatsInvariants(t, &c)
+				if ps.dominators >= 0 && !disable && c.Dominators != int64(ps.dominators) {
+					t.Fatalf("RKR k=%d workers=%d: %d dominators, want %d", k, workers, c.Dominators, ps.dominators)
 				}
 			}
 		}

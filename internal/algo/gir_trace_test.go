@@ -62,6 +62,37 @@ func requireCaseBreakdown(t *testing.T, sp trace.SpanData, c *stats.Counters) {
 	}
 }
 
+// requireDominatorsSpan checks the pre-pass span: it precedes the scan,
+// carries the count the query returned, and says whether that count
+// decided the answer.
+func requireDominatorsSpan(t *testing.T, spans map[string]trace.SpanData, c *stats.Counters, decided bool) {
+	t.Helper()
+	dsp, ok := spans["dominators"]
+	if !ok {
+		t.Fatalf("no dominators span: %v", spans)
+	}
+	if got := dsp.Attrs["dominators"]; got != c.Dominators {
+		t.Errorf("dominators attr %v != counter %d", got, c.Dominators)
+	}
+	if n, ok := dsp.Attrs["rows_read"].(int64); !ok || n < c.Dominators {
+		t.Errorf("rows_read attr %v, want >= %d", dsp.Attrs["rows_read"], c.Dominators)
+	}
+	want := int64(0)
+	if decided {
+		want = 1
+	}
+	if got := dsp.Attrs["decided"]; got != want {
+		t.Errorf("decided attr %v, want %d", got, want)
+	}
+	scan, scanned := spans["scan"]
+	if scanned == decided {
+		t.Errorf("scan span present = %v for a query the pre-pass decided = %v", scanned, decided)
+	}
+	if scanned && scan.OffsetNs < dsp.OffsetNs+dsp.DurationNs {
+		t.Errorf("scan span starts before the dominators span ends")
+	}
+}
+
 func TestSequentialScanSpans(t *testing.T) {
 	gir := traceTestGIR(t)
 	q := gir.Point(10)
@@ -90,6 +121,7 @@ func TestSequentialScanSpans(t *testing.T) {
 	if _, ok := spans["scan.worker"]; ok {
 		t.Error("sequential query emitted worker spans")
 	}
+	requireDominatorsSpan(t, spans, &c, false)
 
 	// RTK: dominator count and fixed cutoff.
 	_, spans = traceSpans(t, func(tr *trace.Trace) {
@@ -103,11 +135,30 @@ func TestSequentialScanSpans(t *testing.T) {
 		t.Fatal("no RTK scan span")
 	}
 	requireCaseBreakdown(t, scan, &c)
-	if _, ok := scan.Attrs["dominators"]; !ok {
-		t.Errorf("RTK scan span missing dominators: %+v", scan.Attrs)
-	}
+	requireDominatorsSpan(t, spans, &c, false)
 	if got := scan.Attrs["cutoff_final"]; got != int64(50) {
 		t.Errorf("RTK cutoff_final = %v, want 50", got)
+	}
+
+	// RTK decided by the pre-pass: a query above most of the catalog has
+	// k dominators, so the trace holds the dominators span and no scan.
+	high := make([]float64, len(q))
+	for i := range high {
+		high[i] = dataset.DefaultRange
+	}
+	var res []int
+	_, spans = traceSpans(t, func(tr *trace.Trace) {
+		var err error
+		if res, c, err = gir.ReverseTopKOpts(ctx, high, 5, QueryOpts{Workers: 1, Trace: tr}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if res != nil || c.Dominators != 5 || c.BoundSums != 0 || c.PairwiseMults != 0 {
+		t.Errorf("decided RTK: answer %v, counts %+v; want nil, 5 dominators and no scan work", res, c)
+	}
+	requireDominatorsSpan(t, spans, &c, true)
+	if _, ok := spans["merge"]; ok {
+		t.Error("decided RTK emitted a merge span")
 	}
 }
 
@@ -181,7 +232,7 @@ func TestParallelScanSpans(t *testing.T) {
 		t.Error("no parallel merge span")
 	}
 
-	// Parallel RTK spans, including the shared dominator count.
+	// Parallel RTK spans, including the coordinator's dominator count.
 	_, spans = traceSpans(t, func(tr *trace.Trace) {
 		var err error
 		if _, c, err = gir.ReverseTopKOpts(ctx, q, 50, QueryOpts{Workers: workers, Trace: tr}); err != nil {
@@ -193,9 +244,7 @@ func TestParallelScanSpans(t *testing.T) {
 		t.Fatal("no parallel RTK scan span")
 	}
 	requireCaseBreakdown(t, scan, &c)
-	if _, ok := scan.Attrs["dominators"]; !ok {
-		t.Errorf("parallel RTK scan missing dominators: %+v", scan.Attrs)
-	}
+	requireDominatorsSpan(t, spans, &c, false)
 }
 
 // TestTracedMatchesUntraced pins that tracing never changes an answer.

@@ -64,11 +64,12 @@ func (m *MPA) ReverseKRanks(q vec.Vector, k int, c *stats.Counters) []topk.Match
 		lb int
 	}
 	order := make([]scored, len(buckets))
+	mq := dominanceMargin(q)
 	for i, b := range buckets {
 		if c != nil {
 			c.CellsVisited++
 		}
-		order[i] = scored{b: b, lb: countBeatAll(m.pt.Root(), q, b.Lo, b.Hi, len(m.P), c)}
+		order[i] = scored{b: b, lb: countBeatAll(m.pt.Root(), q, b.Lo, b.Hi, mq, len(m.P), c)}
 	}
 	sort.Slice(order, func(a, b int) bool {
 		if order[a].lb != order[b].lb {

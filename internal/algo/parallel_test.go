@@ -103,6 +103,30 @@ func TestParallelCrossValidation(t *testing.T) {
 	}
 }
 
+// TestParallelCrossValidationPlanted runs the parallel cross-validation
+// over planted datasets (plantedSets): near-ties at the rounding
+// margin's edges and 0, k − 1, k and k + 1 dominators, where the
+// dominator pre-pass decides some reverse top-k answers before the
+// fan-out and hands the others a complete set every worker reads. Run
+// it under -race.
+func TestParallelCrossValidationPlanted(t *testing.T) {
+	pdists := []dataset.Distribution{dataset.Uniform, dataset.Clustered, dataset.AntiCorrelated, dataset.Normal}
+	wdists := []dataset.Distribution{dataset.Uniform, dataset.Clustered, dataset.Exponential}
+	seeds := 4
+	if testing.Short() {
+		seeds = 2
+	}
+	for i := 0; i < seeds; i++ {
+		rng := rand.New(rand.NewSource(int64(1500 + i)))
+		n := []int{4, 16, 32}[i%3]
+		for _, ps := range plantedSets(rng, pdists[(i+1)%len(pdists)], wdists[(i+2)%len(wdists)]) {
+			t.Run(fmt.Sprintf("%02d-%s-d%d-n%d", i, ps.name, len(ps.q), n), func(t *testing.T) {
+				checkPlanted(t, ps, n)
+			})
+		}
+	}
+}
+
 // checkStatsInvariants asserts the accounting identities that must
 // survive the per-worker counter merge under grouped counting (see
 // DESIGN.md §9): ApproxVisited and BoundSums count per GROUP bound
@@ -128,10 +152,10 @@ func checkStatsInvariants(t *testing.T, c *stats.Counters) {
 	}
 }
 
-// TestParallelDominShortCircuit pins the sharded Algorithm 2 early exit:
-// a query dominated by >= k points yields the empty answer at every
-// worker count, and the distinct-dominator dedup means the exit is taken
-// (bounded work), not just eventually correct.
+// TestParallelDominShortCircuit pins the Algorithm 2 early exit at
+// every worker count: a query dominated by >= k points yields the empty
+// answer, and the pre-pass decides it before any worker starts (bounded
+// work), not just eventually correct.
 func TestParallelDominShortCircuit(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	P := dataset.GenerateProducts(rng, dataset.Uniform, 400, 4, 100)
@@ -199,21 +223,6 @@ func TestNormalizeWorkers(t *testing.T) {
 	}
 	if got := normalizeWorkers(-1, 100); got < 1 {
 		t.Errorf("normalizeWorkers(-1, 100) = %d, want >= 1", got)
-	}
-}
-
-// TestSharedDominDedup verifies the distinct-dominator count never
-// double-counts a point claimed from multiple workers' buffers.
-func TestSharedDominDedup(t *testing.T) {
-	s := newSharedDomin(200)
-	for i := 0; i < 3; i++ { // repeated claims are idempotent
-		s.claim(0)
-		s.claim(63)
-		s.claim(64)
-		s.claim(199)
-	}
-	if got := s.count.Load(); got != 4 {
-		t.Errorf("distinct dominator count = %d, want 4", got)
 	}
 }
 

@@ -16,8 +16,11 @@ import (
 // per cached entry, whether the new preference wins admission — one
 // bounded rank evaluation instead of a full reverse scan. The call
 // borrows a pooled query state, so it is allocation-free in steady
-// state and safe for concurrent use. Its work is part of an epoch
-// install, not of a query, so its counts are not reported.
+// state and safe for concurrent use. It runs no dominator pre-pass — one
+// pass over the products would cost about as much as the one rank it
+// serves — so the scan counts dominators like any other row. Its work
+// is part of an epoch install, not of a query, so its counts are not
+// reported.
 func (gr *GIR) RankOf(wi int, q vec.Vector, cutoff int) (int, bool) {
 	if cutoff <= 0 {
 		cutoff = maxInt

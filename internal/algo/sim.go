@@ -8,9 +8,10 @@ import (
 
 // SIM is the optimized simple scan of Section 6.1: for each weight vector
 // it scans P computing exact scores, maintains the Domin buffer of points
-// known to dominate q (they count into every later rank for free), and
-// terminates a weight's scan as soon as its rank can no longer satisfy the
-// query condition. The only difference between SIM and GIR is that SIM
+// known to dominate q by the rounding margin (algo.go; they count into
+// every later rank for free), and terminates a weight's scan as soon as
+// its rank can no longer satisfy the query condition. Apart from finding
+// dominators lazily, the difference between SIM and GIR is that SIM
 // computes every score directly instead of filtering with Grid bounds.
 type SIM struct {
 	P []vec.Vector
@@ -52,7 +53,7 @@ func (s *SIM) rankBounded(w, q vec.Vector, cutoff int, dom *domin, c *stats.Coun
 		if vec.Dot(w, p) < fq {
 			rnk++
 			if !s.DisableDomin {
-				dom.observe(pj, p, q)
+				dom.observe(pj, p)
 			}
 			if rnk >= cutoff {
 				return cutoff, false
@@ -70,7 +71,7 @@ func (s *SIM) ReverseTopK(q vec.Vector, k int, c *stats.Counters) []int {
 	if k <= 0 {
 		return nil
 	}
-	dom := newDomin(len(s.P))
+	dom := newDomin(len(s.P), q)
 	var res []int
 	for wi, w := range s.W {
 		if _, ok := s.rankBounded(w, q, k, dom, c); ok {
@@ -95,7 +96,7 @@ func (s *SIM) ReverseKRanks(q vec.Vector, k int, c *stats.Counters) []topk.Match
 		return nil
 	}
 	h := topk.NewKRankHeap(k)
-	dom := newDomin(len(s.P))
+	dom := newDomin(len(s.P), q)
 	for wi, w := range s.W {
 		if rnk, ok := s.rankBounded(w, q, h.Threshold(), dom, c); ok {
 			h.Offer(topk.Match{WeightIndex: wi, Rank: rnk})

@@ -117,7 +117,7 @@ func (s *SparseGIR) rankBounded(wi int, q vec.Vector, cutoff int, dom *domin, c 
 			if c != nil {
 				c.Filtered++
 			}
-			dom.observe(pj, s.P[pj], q)
+			dom.observe(pj, s.P[pj])
 			if rnk >= cutoff {
 				return cutoff, false
 			}
@@ -136,7 +136,7 @@ func (s *SparseGIR) rankBounded(wi int, q vec.Vector, cutoff int, dom *domin, c 
 			}
 			if sparseDot(w, s.P[pj], dims) < fq {
 				rnk++
-				dom.observe(pj, s.P[pj], q)
+				dom.observe(pj, s.P[pj])
 				if rnk >= cutoff {
 					return cutoff, false
 				}
@@ -156,7 +156,7 @@ func (s *SparseGIR) ReverseTopK(q vec.Vector, k int, c *stats.Counters) []int {
 	if k <= 0 {
 		return nil
 	}
-	dom := newDomin(len(s.P))
+	dom := newDomin(len(s.P), q)
 	var res []int
 	for wi := range s.W {
 		if _, ok := s.rankBounded(wi, q, k, dom, c); ok {
@@ -178,7 +178,7 @@ func (s *SparseGIR) ReverseKRanks(q vec.Vector, k int, c *stats.Counters) []topk
 		return nil
 	}
 	h := topk.NewKRankHeap(k)
-	dom := newDomin(len(s.P))
+	dom := newDomin(len(s.P), q)
 	for wi := range s.W {
 		if rnk, ok := s.rankBounded(wi, q, h.Threshold(), dom, c); ok {
 			h.Offer(topk.Match{WeightIndex: wi, Rank: rnk})

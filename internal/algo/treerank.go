@@ -1,6 +1,8 @@
 package algo
 
 import (
+	"math"
+
 	"gridrank/internal/rtree"
 	"gridrank/internal/stats"
 	"gridrank/internal/vec"
@@ -73,10 +75,35 @@ func treeRankBounded(n *rtree.Node, w vec.Vector, fq float64, cutoff int, c *sta
 	return count, true
 }
 
+// beatMargin is m′, the margin the box tests of countBeatAll and
+// countBeatSome demand of the computed bound s = vec.MaxDiffScore or
+// vec.MinDiffScore of w·(p−q) over the weight box [wlo, whi] (upper
+// corner whi): p beats q for every stored weight in the box when
+// s < −m′, and can beat q for some stored weight only when s < +m′.
+//
+// m′ = m + 2·γ_{d+2}·Σ_i whi_i·|p_i − q_i|, where m = dominanceMargin(q)
+// covers the rounding of the two scores (algo.go's proof, with the
+// weight sum at most 1 + 10⁻⁶ rather than cancelled: if the exact
+// w·(p − q) < −m then ŝ(p) < ŝ(q), and if it is > +m then ŝ(p) > ŝ(q)).
+// The second term covers the rounding of s itself: the d differences,
+// d products and d additions are at most d + 2 roundings per term, so
+// the computed s is within γ_{d+2}·Σ_i w*_i·|p_i − q_i| of the exact
+// corner value, w* ≤ whi the corner's weights. The factor 2 absorbs
+// the rounding of the sum that bounds it.
+func beatMargin(p, q, whi vec.Vector, m float64) float64 {
+	var a float64
+	for i, x := range p {
+		a += whi[i] * math.Abs(x-q[i])
+	}
+	return m + 2*gamma(len(p)+2)*a
+}
+
 // countBeatAll counts points p under n that beat q for EVERY weight in the
-// box [wlo, whi]: max_{w∈box} w·(p−q) < 0. This is the group-level rank
-// lower bound of BBR and MPA. The count stops at cutoff.
-func countBeatAll(n *rtree.Node, q, wlo, whi vec.Vector, cutoff int, c *stats.Counters) int {
+// box [wlo, whi]: max_{w∈box} w·(p−q) < −m′ (beatMargin, with m =
+// dominanceMargin(q)), so every counted point scores strictly below q
+// under every stored weight in the box even after rounding. This is the
+// group-level rank lower bound of BBR and MPA. The count stops at cutoff.
+func countBeatAll(n *rtree.Node, q, wlo, whi vec.Vector, m float64, cutoff int, c *stats.Counters) int {
 	count := 0
 	var visit func(n *rtree.Node) bool
 	visit = func(n *rtree.Node) bool {
@@ -85,12 +112,14 @@ func countBeatAll(n *rtree.Node, q, wlo, whi vec.Vector, cutoff int, c *stats.Co
 			c.PairwiseMults++
 		}
 		// max over p∈MBR and w∈box of w·(p−q): attained at p = Hi.
-		if vec.MaxDiffScore(n.MBR.Hi, q, wlo, whi) < 0 {
+		if hi := n.MBR.Hi; vec.MaxDiffScore(hi, q, wlo, whi) < -beatMargin(hi, q, whi, m) {
 			count += n.Size
 			return count < cutoff
 		}
 		// min over p∈MBR of the per-point max: attained at p = Lo. If even
 		// the easiest point fails, no point in the subtree qualifies.
+		// Skipping only ever counts less, so a lower bound needs no margin
+		// here.
 		if c != nil {
 			c.PairwiseMults++
 		}
@@ -106,7 +135,7 @@ func countBeatAll(n *rtree.Node, q, wlo, whi vec.Vector, cutoff int, c *stats.Co
 					c.PairwiseMults++
 					c.PointsVisited++
 				}
-				if vec.MaxDiffScore(e.Point, q, wlo, whi) < 0 {
+				if vec.MaxDiffScore(e.Point, q, wlo, whi) < -beatMargin(e.Point, q, whi, m) {
 					count++
 					if count >= cutoff {
 						return false
@@ -132,10 +161,13 @@ func countBeatAll(n *rtree.Node, q, wlo, whi vec.Vector, cutoff int, c *stats.Co
 	return count
 }
 
-// countBeatSome counts points p under n that beat q for AT LEAST ONE
-// weight in the box: min_{w∈box} w·(p−q) < 0. This upper-bounds the rank
-// of every individual weight in the box. The count stops at cutoff.
-func countBeatSome(n *rtree.Node, q, wlo, whi vec.Vector, cutoff int, c *stats.Counters) int {
+// countBeatSome counts points p under n that can beat q for AT LEAST ONE
+// weight in the box: min_{w∈box} w·(p−q) < +m′ (beatMargin), so a point
+// whose computed score can fall below q's under some stored weight — an
+// exact tie or a near-tie included — is always counted. This
+// upper-bounds the rank of every individual weight in the box. The count
+// stops at cutoff.
+func countBeatSome(n *rtree.Node, q, wlo, whi vec.Vector, m float64, cutoff int, c *stats.Counters) int {
 	count := 0
 	var visit func(n *rtree.Node) bool
 	visit = func(n *rtree.Node) bool {
@@ -145,16 +177,17 @@ func countBeatSome(n *rtree.Node, q, wlo, whi vec.Vector, cutoff int, c *stats.C
 		}
 		// max over p∈MBR of the per-point min: attained at p = Hi. If even
 		// the hardest point qualifies, the whole subtree does.
-		if vec.MinDiffScore(n.MBR.Hi, q, wlo, whi) < 0 {
+		if hi := n.MBR.Hi; vec.MinDiffScore(hi, q, wlo, whi) < beatMargin(hi, q, whi, m) {
 			count += n.Size
 			return count < cutoff
 		}
-		// min over p∈MBR and w∈box: attained at p = Lo. If positive, no
-		// point in the subtree can beat q for any weight in the box.
+		// min over p∈MBR and w∈box: attained at p = Lo. If it clears the
+		// margin, no point in the subtree can beat q for any weight in
+		// the box.
 		if c != nil {
 			c.PairwiseMults++
 		}
-		if vec.MinDiffScore(n.MBR.Lo, q, wlo, whi) >= 0 {
+		if lo := n.MBR.Lo; vec.MinDiffScore(lo, q, wlo, whi) >= beatMargin(lo, q, whi, m) {
 			return true
 		}
 		if n.Leaf() {
@@ -166,7 +199,7 @@ func countBeatSome(n *rtree.Node, q, wlo, whi vec.Vector, cutoff int, c *stats.C
 					c.PairwiseMults++
 					c.PointsVisited++
 				}
-				if vec.MinDiffScore(e.Point, q, wlo, whi) < 0 {
+				if vec.MinDiffScore(e.Point, q, wlo, whi) < beatMargin(e.Point, q, whi, m) {
 					count++
 					if count >= cutoff {
 						return false

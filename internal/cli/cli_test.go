@@ -2,6 +2,7 @@ package cli
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -176,28 +177,30 @@ func TestRunQueryExplain(t *testing.T) {
 		PPath: pPath, WPath: wPath, K: 5, QIndex: 0,
 		N: 16, Capacity: 16, Limit: 3, Algo: "gir", Explain: true,
 	}
-	for _, typ := range []string{"rtk", "rkr"} {
+	// Reverse top-k at k = 500 always scans: 500 products hold at most
+	// 499 dominators of one of them.
+	for _, tc := range []struct {
+		typ string
+		k   int
+	}{{"rtk", 500}, {"rkr", 5}} {
+		typ := tc.typ
 		opts := base
-		opts.Type = typ
+		opts.Type, opts.K = typ, tc.k
 		var buf bytes.Buffer
 		if err := RunQuery(&buf, opts); err != nil {
 			t.Fatalf("%s: %v", typ, err)
 		}
 		out := buf.String()
 		// Results first, then the EXPLAIN span tree with the full
-		// pipeline phases and the scan's case breakdown.
+		// pipeline phases, the dominator pre-pass and the scan's case
+		// breakdown.
 		if !strings.Contains(out, strings.ToUpper(typ)) {
 			t.Errorf("%s explain output missing results header:\n%s", typ, out)
 		}
 		wants := []string{
-			"trace ", "load_data", "build_index", "scan",
+			"trace ", "load_data", "build_index", "dominators ", "decided=0", "rows_read=500", "scan",
 			"case1_filtered=", "case2_filtered=", "case3_refined=",
-			"filter_rate=", "products=500", "preferences=200", "k=5",
-		}
-		if typ == "rkr" {
-			// RKR always produces k results to merge; RTK's answer set may
-			// legitimately be empty, skipping the merge phase.
-			wants = append(wants, "merge")
+			"filter_rate=", "products=500", "preferences=200", fmt.Sprintf("k=%d", tc.k), "merge",
 		}
 		for _, want := range wants {
 			if !strings.Contains(out, want) {
@@ -207,6 +210,23 @@ func TestRunQueryExplain(t *testing.T) {
 		if strings.Contains(out, "trace not found") {
 			t.Errorf("%s explain trace was not captured:\n%s", typ, out)
 		}
+	}
+	// A reverse top-k query the pre-pass decides: product 0 has at least
+	// 5 dominators, so the tree shows the deciding pre-pass and no scan.
+	decided := base
+	decided.Type = "rtk"
+	var dbuf bytes.Buffer
+	if err := RunQuery(&dbuf, decided); err != nil {
+		t.Fatal(err)
+	}
+	out := dbuf.String()
+	for _, want := range []string{"0 matching preferences", "dominators ", "decided=1", "dominators=5", "k=5"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("decided rtk explain output missing %q:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, "case1_filtered=") || strings.Contains(out, " merge") {
+		t.Errorf("decided rtk explain output shows a scan or merge:\n%s", out)
 	}
 	// The parallel path adds per-worker spans to the tree.
 	par := base

@@ -17,7 +17,8 @@ func init() {
 
 // runAblation quantifies the design choices DESIGN.md calls out:
 //
-//  1. the Domin buffer of Algorithm 1 (shared dominating-point counts),
+//  1. dominator counting (shared dominating-point counts: GIR's pre-pass
+//     before the scan, SIM's lazy Domin buffer of Algorithm 1),
 //  2. the future-work adaptive quantile grid vs the paper's equal-width
 //     grid on skewed (exponential) data, and
 //  3. the future-work sparse-weight optimization on few-interest users.
@@ -29,8 +30,8 @@ func runAblation(cfg Config) ([]*Table, error) {
 	rng := cfg.rng()
 	const d = 6
 
-	// 1. Domin buffer, uniform data, RKR workload (where the buffer
-	// pre-counts dominators for every weight).
+	// 1. Dominators, uniform data, RKR workload (where the count starts
+	// every weight's rank).
 	domin := &Table{
 		Title:   "Ablation 1: Domin buffer (UN data, d=6, RKR)",
 		Columns: []string{"variant", "avg ms/query", "mults/query"},

@@ -153,8 +153,12 @@ const (
 //
 // Field use by class:
 //
-//   - Query: K, Epoch (epoch served), Case1/2/3 (scan breakdown; zero
-//     when the caller did not request stats), FlagCacheHit,
+//   - Query: K, Epoch (epoch served), Case1/2/3 (the scan's Case-1/2/3
+//     breakdown, counted by every scan; zero on a cache hit and when
+//     no scan ran), Aux1 = dominators, the products the pre-pass found
+//     undercutting the query in every attribute by more than the
+//     rounding margin (a reverse top-k pass stops at K, and Aux1 = K
+//     with zero cases is a query the pre-pass decided), FlagCacheHit,
 //     FlagSampled plus TraceHi/TraceLo, Outcome.
 //   - Mutation: Epoch (epoch installed), FlagDerived, Aux1 = answer
 //     cache entries invalidated by the install's sweep, Aux2 =

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
@@ -261,7 +262,9 @@ func TestTraceparentPropagation(t *testing.T) {
 }
 
 // TestBatchTracing checks a traced batch lands every query's spans on
-// one trace.
+// one trace: a snapshot and a dominator pre-pass each, and a scan unless
+// the pre-pass decided the answer (the top-k item's product has k
+// dominators, so the trace holds one scan and one deciding pre-pass).
 func TestBatchTracing(t *testing.T) {
 	s := tracedServer(t, Config{TraceSampleRate: 1})
 	rec := postTraceparent(t, s, "/v1/batch", "", map[string]interface{}{
@@ -283,17 +286,23 @@ func TestBatchTracing(t *testing.T) {
 		t.Fatal("batch response has no trace_id")
 	}
 	td := getTrace(t, s, resp.TraceID, http.StatusOK)
-	var scans, snapshots int
+	var scans, snapshots, prepasses, decided int
 	for _, sp := range td.Spans {
 		switch sp.Name {
 		case "scan":
 			scans++
 		case "snapshot":
 			snapshots++
+		case "dominators":
+			prepasses++
+			if fmt.Sprint(sp.Attrs["decided"]) == "1" {
+				decided++
+			}
 		}
 	}
-	if scans != 2 || snapshots != 2 {
-		t.Errorf("batch trace has %d scan / %d snapshot spans, want 2/2: %+v", scans, snapshots, td.Spans)
+	if snapshots != 2 || prepasses != 2 || scans+decided != 2 {
+		t.Errorf("batch trace has %d snapshot / %d dominators (%d deciding) / %d scan spans, want 2/2/scan or deciding per query: %+v",
+			snapshots, prepasses, decided, scans, td.Spans)
 	}
 }
 

@@ -59,6 +59,12 @@ type Counters struct {
 	// without individual rank evaluation.
 	WeightsPruned int64
 
+	// Dominators counts the products GIR's pre-pass found dominating the
+	// query by the rounding margin, before any preference was ranked.
+	// They count into every preference's rank; a reverse top-k pass stops
+	// at k, which decides the (empty) answer without a scan.
+	Dominators int64
+
 	// Queries counts completed queries, so averages can be reported.
 	Queries int64
 }
@@ -77,6 +83,7 @@ func (c *Counters) Add(o *Counters) {
 	c.Case1Filtered += o.Case1Filtered
 	c.Case2Filtered += o.Case2Filtered
 	c.WeightsPruned += o.WeightsPruned
+	c.Dominators += o.Dominators
 	c.Queries += o.Queries
 }
 
@@ -124,6 +131,7 @@ func (c *Counters) PerQuery() Counters {
 		Case1Filtered: c.Case1Filtered / n,
 		Case2Filtered: c.Case2Filtered / n,
 		WeightsPruned: c.WeightsPruned / n,
+		Dominators:    c.Dominators / n,
 		Queries:       1,
 	}
 }
@@ -143,6 +151,9 @@ func (c *Counters) String() string {
 	}
 	if c.WeightsPruned > 0 {
 		s += fmt.Sprintf(" weightsPruned=%d", c.WeightsPruned)
+	}
+	if c.Dominators > 0 {
+		s += fmt.Sprintf(" dominators=%d", c.Dominators)
 	}
 	return s
 }

@@ -91,8 +91,10 @@ func Dot2(w, a, b Vector) (float64, float64) {
 // minimum-is-preferable convention: p[i] < q[i] on every dimension.
 //
 // Strict inequality on every coordinate guarantees f_w(p) < f_w(q) for every
-// legal preference vector w (non-negative weights summing to one), which is
-// what the Domin buffer of the GIR and SIM algorithms relies on.
+// legal preference vector w (non-negative weights summing to one) in real
+// arithmetic only: computed scores can tie (p one ulp below q in every
+// coordinate may score exactly Dot(w, q)). The query algorithms therefore
+// test dominance by a rounding margin instead (internal/algo).
 func Dominates(p, q Vector) bool {
 	if len(p) != len(q) {
 		panic(fmt.Sprintf("vec: dimension mismatch %d != %d", len(p), len(q)))
@@ -182,9 +184,10 @@ func MaxScore(p, whi Vector) float64 { return Dot(p, whi) }
 // whi[i] where p[i]-q[i] > 0 and wlo[i] where it is negative.
 //
 // If the result is negative, every weight vector in the box scores p
-// strictly below q, i.e. p beats q for the whole box. This is the exact
-// per-w test that BBR and MPA use to count whole P-subtrees into the rank
-// of q for a whole group of weight vectors at once.
+// strictly below q in real arithmetic, i.e. p beats q for the whole box.
+// BBR and MPA use it to count whole P-subtrees into the rank of q for a
+// whole group of weight vectors at once; since ranks compare computed
+// scores, they demand it clear a rounding margin (internal/algo).
 func MaxDiffScore(p, q, wlo, whi Vector) float64 {
 	if len(p) != len(q) || len(p) != len(wlo) || len(p) != len(whi) {
 		panic("vec: dimension mismatch in MaxDiffScore")

@@ -6,8 +6,10 @@
 # Usage: scripts/bench.sh [-short]
 #
 #   -short   quick smoke run: fewer iterations, skips the distribution
-#            sweep (BenchmarkGIRGroupedSweep skips itself under -short).
-#            Used by the CI bench job.
+#            sweep (BenchmarkGIRGroupedSweep skips itself under -short),
+#            and writes BENCH_gir.short.json (git-ignored) instead, so
+#            2-iteration numbers never overwrite the tracked full-mode
+#            record. Used by the CI bench job, which uploads that file.
 #
 # Covered benchmarks: the query-path suite (BenchmarkGIR*) from
 # bench_test.go, parallel_bench_test.go and group_bench_test.go — the
@@ -45,12 +47,13 @@ cd "$(dirname "$0")/.."
 
 BENCHTIME=1s
 SHORT_FLAG=""
+OUT=BENCH_gir.json
 if [ "${1:-}" = "-short" ]; then
     BENCHTIME=2x
     SHORT_FLAG="-short"
+    OUT=BENCH_gir.short.json
 fi
 
-OUT=BENCH_gir.json
 RAW=$(mktemp)
 trap 'rm -f "$RAW"' EXIT
 

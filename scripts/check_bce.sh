@@ -45,7 +45,7 @@ check() {
 # check-free via the constant-stride slice window.
 check internal/algo/gir_packed.go 1
 check internal/algo/gir_packed_widths.go 20
-check internal/algo/gir.go 15
+check internal/algo/gir.go 12
 check internal/vec/vec.go 2
 check internal/bits/bits.go 12
 check internal/topk/topk.go 25
